@@ -72,7 +72,7 @@ print("SC determined over the vee model:",
 # The key biconditional, per pair of systems: agreement on the model
 # is equivalent to agreement on its maximal-point part, in the plain
 # and the whole-carrier-dropping forms both.
-maxsub, _ = max_point_space(xizhao_model(VEE).poset)
+maxsub, _ = max_point_space(sigma)
 for h, g in ((SC, KF), (SC, IRR), (KF, WD), (WD, IRR)):
     verdict = proposition_key_check(VEE, h, g)
     print(f"  {verdict.h} vs {verdict.g}: model={verdict.model_equal} "

@@ -114,10 +114,6 @@ class PreconditionViolated(InputError):
         super().__init__(f"precondition violated: {reason}")
 
 
-class KindNotDetermined(OrderLabError):
-    """A family membership test was requested for an undetermined kind."""
-
-
 class WdNotDetermined(OrderLabError):
     """A construction needed a determined WD family but only got a bracket."""
 

@@ -8,6 +8,10 @@ family; it is never evaluated from its definition (which quantifies over
 all continuous maps into well-filtered spaces) but squeezed: when the
 bounds coincide the family is DETERMINED, otherwise an explicit BRACKET
 is reported and nothing more is claimed.
+
+`family_members` is the one mapping from a kind name (Sc, Irr, KF, WD) to
+its family on a finite space; every runner that names a family by kind
+goes through it.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from . import bits
 from .errors import (
     CheckFailed,
     InvalidFamily,
-    KindNotDetermined,
     PreconditionViolated,
+    WdNotDetermined,
 )
 from .spaces import (
     ContinuousMap,
@@ -252,32 +256,38 @@ def kf_family(space: FinSpace) -> ClosedFamily:
     return ClosedFamily(space, kf_sets(space), "KF")
 
 
+def family_members(kind: str, space: FinSpace) -> tuple[int, ...]:
+    """Members of the named closed-set family of a finite space.
+
+    Sc: point closures; Irr: irreducible closed sets; KF: the meeting
+    family; WD: the squeezed image-closure family, which is refused with
+    `WdNotDetermined` when the squeeze leaves a bracket.
+    """
+    if kind == "Sc":
+        return point_closures(space)
+    if kind == "Irr":
+        return irreducible_closed_sets(space)
+    if kind == "KF":
+        return kf_sets(space)
+    if kind == "WD":
+        st = wd_status(space)
+        if not st.determined:
+            raise WdNotDetermined(
+                "image-closure family is undetermined on " + ",".join(space.labels)
+            )
+        return st.value
+    raise PreconditionViolated(f"unknown family kind {kind!r}")
+
+
 def pushforward_family(f: ContinuousMap, a_mask: int, kind: str) -> int:
     """Closure of the image of a family member, verified to stay in kind.
 
     For the image-closure kind both endpoint families must be DETERMINED;
     otherwise the membership question is refused rather than guessed.
     """
-    src, tgt = f.source, f.target
-    def members(space):
-        if kind == "Sc":
-            return point_closures(space)
-        if kind == "Irr":
-            return irreducible_closed_sets(space)
-        if kind == "KF":
-            return kf_sets(space)
-        if kind == "WD":
-            st = wd_status(space)
-            if not st.determined:
-                raise KindNotDetermined(
-                    "image-closure family is undetermined on " + ",".join(space.labels)
-                )
-            return st.value
-        raise PreconditionViolated(f"unknown family kind {kind!r}")
-
-    if a_mask not in set(members(src)):
+    if a_mask not in set(family_members(kind, f.source)):
         raise PreconditionViolated("set is not a member of the source family")
-    image_closure = tgt.closure(f.image(a_mask))
-    if image_closure not in set(members(tgt)):
+    image_closure = f.target.closure(f.image(a_mask))
+    if image_closure not in set(family_members(kind, f.target)):
         raise CheckFailed("pushforward left the family", image_closure)
     return image_closure

@@ -21,11 +21,9 @@ from .errors import (
     BudgetExceeded,
     CheckFailed,
     SandwichViolated,
-    WdNotDetermined,
 )
-from .families import kf_sets, wd_status
+from .families import family_members, kf_sets
 from .posets import FinPoset, validate_poset
-from .scott import max_point_space, scott_space
 from .spaces import (
     ContinuousMap,
     FinSpace,
@@ -68,12 +66,7 @@ def wf_reflection(space: FinSpace) -> HyperSpace:
     Requires that family to be DETERMINED; the output is verified
     well-filtered through the meeting-family collapse on the result.
     """
-    status = wd_status(space)
-    if not status.determined:
-        raise WdNotDetermined(
-            "image-closure family is undetermined on " + ",".join(space.labels)
-        )
-    hyper = ph_space(space, status.value)
+    hyper = ph_space(space, family_members("WD", space))
     if kf_sets(hyper.space) != point_closures(hyper.space):
         raise CheckFailed("reflection output is not well-filtered")
     hyper.eta_map
@@ -194,21 +187,8 @@ class JEmbeddingReport:
     image_saturated: bool
 
 
-def _legs(poset_pair: XiZhaoPoset):
-    sigma = scott_space(poset_pair.poset)
-    maxsub, incl = max_point_space(poset_pair.poset)
-    return sigma, maxsub, incl
-
-
-def _family_for(kind: str, space: FinSpace) -> tuple[int, ...]:
-    if kind == "sober":
-        return irreducible_closed_sets(space)
-    if kind == "wf":
-        status = wd_status(space)
-        if not status.determined:
-            raise WdNotDetermined("family undetermined on " + ",".join(space.labels))
-        return status.value
-    raise CheckFailed("unknown reflection kind", kind)
+# reflection kind -> the closed-set family its hyperspace is built over
+_REFLECTION_FAMILY = {"sober": "Irr", "wf": "WD"}
 
 
 def _unlift(mask: int, incl: ContinuousMap) -> int:
@@ -231,9 +211,12 @@ def j_embedding_check(poset: FinPoset, kind: str = "sober") -> JEmbeddingReport:
     failures raise rather than report.
     """
     model = xizhao_model(poset)
-    sigma, maxsub, incl = _legs(model)
-    fam_max = _family_for(kind, maxsub)
-    fam_sigma = _family_for(kind, sigma)
+    if kind not in _REFLECTION_FAMILY:
+        raise CheckFailed("unknown reflection kind", kind)
+    sigma = model.sigma
+    maxsub, incl = model.max_space
+    fam_max = family_members(_REFLECTION_FAMILY[kind], maxsub)
+    fam_sigma = family_members(_REFLECTION_FAMILY[kind], sigma)
     upper = ph_space(sigma, fam_sigma)
     lower = ph_space(maxsub, fam_max)
 
@@ -298,7 +281,7 @@ def pair_conditions_check(poset: FinPoset, members: tuple[int, ...]) -> PairWitn
     pair model, and its top-set display agrees with the brute scan.
     """
     model = xizhao_model(poset)
-    sigma, maxsub, incl = _legs(model)
+    sigma = model.sigma
     sc = set(point_closures(sigma))
     irr = set(irreducible_closed_sets(sigma))
     member_set = set(members)
@@ -371,23 +354,21 @@ def _verdict(name: str, lhs: set[int], rhs: set[int], describe) -> EquationVerdi
     return EquationVerdict(name, lhs == rhs, len(lhs), len(rhs), diff)
 
 
-def _pair_families(kind_family, sigma, maxsub):
-    return set(kind_family(sigma)), set(kind_family(maxsub))
+# split equation -> the closed-set family it splits
+_SPLIT_FAMILY = {"EQ1": "Irr", "KFSET2": "KF", "EQ3": "WD"}
 
 
 def _split_equation(
-    name: str,
-    model: XiZhaoPoset,
-    sigma: FinSpace,
-    maxsub: FinSpace,
-    incl: ContinuousMap,
-    fam_sigma: set[int],
-    fam_max: set[int],
+    name: str, model: XiZhaoPoset
 ) -> tuple[EquationVerdict, EquationVerdict]:
     """The two halves shared by the irreducible/meeting/squeezed splits:
     the full family decomposes into lifted-and-closed maximal-part
     members plus principal ideals of non-maximal pairs, and conversely
     the maximal-part family is the nonempty trace of the full one."""
+    sigma = model.sigma
+    maxsub, incl = model.max_space
+    fam_sigma = set(family_members(_SPLIT_FAMILY[name], sigma))
+    fam_max = set(family_members(_SPLIT_FAMILY[name], maxsub))
     lifted = {sigma.closure(incl.image(a)) for a in fam_max}
     ideals = {sigma.spec_down[i] for i in bits.indices_of(model.nonmax_mask)}
     first = _verdict(
@@ -402,9 +383,10 @@ def _split_equation(
     return first, second
 
 
-def _eq0(model, sigma, maxsub, incl) -> EquationVerdict:
+def _eq0(model) -> EquationVerdict:
     """Whole irreducible family = up-closure of the embedded maximal
     points inside the sobrification, plus images of non-maximal points."""
+    sigma = model.sigma
     fam = irreducible_closed_sets(sigma)
     hyper = ph_space(sigma, fam)
     up_mask = 0
@@ -418,7 +400,7 @@ def _eq0(model, sigma, maxsub, incl) -> EquationVerdict:
     return _verdict("EQ0", set(fam), ordered | eta_nonmax, sigma.labels_of_mask)
 
 
-def _eq2_for(model, sigma, g_members: tuple[int, ...], tag: str):
+def _eq2_for(model, g_members: tuple[int, ...], tag: str):
     """Meeting-family split across a hyperspace pair.
 
     The up-part of the hyperspace (everything above an embedded maximal
@@ -427,6 +409,7 @@ def _eq2_for(model, sigma, g_members: tuple[int, ...], tag: str):
     give the hyperspace's meeting family, and tracing back must give the
     up-part's.
     """
+    sigma = model.sigma
     hyper = ph_space(sigma, g_members)
     up_mask = 0
     for t in bits.indices_of(model.max_mask):
@@ -451,13 +434,6 @@ def _eq2_for(model, sigma, g_members: tuple[int, ...], tag: str):
     return first, second
 
 
-def _wd_family(space: FinSpace) -> tuple[int, ...]:
-    status = wd_status(space)
-    if not status.determined:
-        raise WdNotDetermined("family undetermined on " + ",".join(space.labels))
-    return status.value
-
-
 EQUATION_NAMES = ("EQ0", "EQ1", "EQ2", "KFSET2", "EQ3")
 
 
@@ -471,26 +447,16 @@ def decomposition_check(poset: FinPoset, which: str) -> tuple[EquationVerdict, .
     closures and over the irreducible sets.
     """
     model = xizhao_model(poset)
-    sigma, maxsub, incl = _legs(model)
     if which == "EQ0":
-        return (_eq0(model, sigma, maxsub, incl),)
-    if which == "EQ1":
-        fam_s, fam_m = _pair_families(irreducible_closed_sets, sigma, maxsub)
-        return _split_equation("EQ1", model, sigma, maxsub, incl, fam_s, fam_m)
-    if which == "KFSET2":
-        fam_s, fam_m = _pair_families(kf_sets, sigma, maxsub)
-        return _split_equation("KFSET2", model, sigma, maxsub, incl, fam_s, fam_m)
-    if which == "EQ3":
-        fam_s, fam_m = _pair_families(_wd_family, sigma, maxsub)
-        return _split_equation("EQ3", model, sigma, maxsub, incl, fam_s, fam_m)
+        return (_eq0(model),)
+    if which in _SPLIT_FAMILY:
+        return _split_equation(which, model)
     if which == "EQ2":
         out = []
-        for tag, members in (
-            ("Sc", point_closures(sigma)),
-            ("Irr", irreducible_closed_sets(sigma)),
-        ):
+        for tag in ("Sc", "Irr"):
+            members = family_members(tag, model.sigma)
             pair_conditions_check(poset, members)  # the pair must qualify
-            out.extend(_eq2_for(model, sigma, members, tag))
+            out.extend(_eq2_for(model, members, tag))
         return tuple(out)
     raise CheckFailed("unknown equation name", which)
 
@@ -601,7 +567,8 @@ def claim_embed2_check(poset: FinPoset) -> StagePairReport:
     their spaces.
     """
     model = xizhao_model(poset)
-    sigma, maxsub, incl = _legs(model)
+    sigma = model.sigma
+    maxsub, _ = model.max_space
     upper = ph_space(sigma, irreducible_closed_sets(sigma))
     lower = ph_space(maxsub, irreducible_closed_sets(maxsub))
     jreport = j_embedding_check(poset, "sober")
@@ -649,9 +616,9 @@ def claim_embed2_check(poset: FinPoset) -> StagePairReport:
 
     x_final = {lower.members[i] for i in bits.indices_of(x_chain[-1])}
     y_final = {upper.members[i] for i in bits.indices_of(y_chain[-1])}
-    if x_final != set(_wd_family(maxsub)):
+    if x_final != set(family_members("WD", maxsub)):
         raise CheckFailed("maximal-point chain missed its squeezed family")
-    if y_final != set(_wd_family(sigma)):
+    if y_final != set(family_members("WD", sigma)):
         raise CheckFailed("model chain missed its squeezed family")
     return StagePairReport(
         tuple(x_chain), tuple(y_chain), x_index, y_index, checked

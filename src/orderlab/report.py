@@ -28,7 +28,7 @@ from .cofinite import (
 from .errors import CheckFailed, InputError, OrderLabError
 from .families import (
     FilteredFamily,
-    kf_family,
+    family_members,
     minimal_closed_meeting,
     wd_status,
 )
@@ -50,7 +50,6 @@ from .reflections import (
     shen_iterate,
     sobrification,
 )
-from .scott import max_point_space, scott_space
 from .spaces import (
     FinSpace,
     compact_saturated_sets,
@@ -132,17 +131,16 @@ def canonical_json(obj) -> str:
 def _family_payload(space: FinSpace) -> dict:
     as_labels = lambda fam: [list(space.labels_of_mask(m)) for m in fam]
     st = wd_status(space)
-    return {
-        "Sc": as_labels(point_closures(space)),
-        "Irr": as_labels(irreducible_closed_sets(space)),
-        "KF": as_labels(kf_family(space).members),
-        "WD": {
-            "status": st.status,
-            "value": as_labels(st.value) if st.determined else None,
-            "lower": as_labels(st.lower),
-            "upper": as_labels(st.upper),
-        },
+    payload = {
+        kind: as_labels(family_members(kind, space)) for kind in ("Sc", "Irr", "KF")
     }
+    payload["WD"] = {
+        "status": st.status,
+        "value": as_labels(st.value) if st.determined else None,
+        "lower": as_labels(st.lower),
+        "upper": as_labels(st.upper),
+    }
+    return payload
 
 
 def _panel_payload(panel) -> dict:
@@ -171,8 +169,8 @@ def analyze_poset(poset: FinPoset, which: tuple[str, ...] = ALL_WHICH) -> dict:
     """
     echo = {"kind": "poset", **poset_to_json(poset)}
     model = xizhao_model(poset)
-    sigma = scott_space(model.poset)
-    maxsub, _incl = max_point_space(model.poset)
+    sigma = model.sigma
+    maxsub, _incl = model.max_space
     report = {
         "schema": SCHEMA,
         "verdict": None,
@@ -225,10 +223,8 @@ def analyze_poset(poset: FinPoset, which: tuple[str, ...] = ALL_WHICH) -> dict:
 
     if "pair" in which:
         out = {}
-        for tag, members in (
-            ("Sc", point_closures(sigma)),
-            ("Irr", irreducible_closed_sets(sigma)),
-        ):
+        for tag in ("Sc", "Irr"):
+            members = family_members(tag, sigma)
             w = guard(f"pair[{tag}]",
                       lambda m=members: pair_conditions_check(poset, m))
             if w is not None:
@@ -470,7 +466,7 @@ def _oracle_poset(label: str, poset: FinPoset) -> list[dict]:
         return found
 
     model = xizhao_model(poset)
-    sigma = scott_space(model.poset)
+    sigma = model.sigma
 
     route_a = set(sigma.opens)
     route_b = set(up_sets(model.poset))

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import bits
 from .errors import CheckFailed
-from .posets import FinPoset, directed_subsets, maximal_elements, up_sets
+from .posets import FinPoset, directed_subsets, up_sets
 from .spaces import FinSpace, make_space, subspace
 
 
@@ -44,14 +44,20 @@ def scott_space(poset: FinPoset) -> FinSpace:
     return space
 
 
-def max_point_space(poset: FinPoset):
-    """Maximal points with the relative Scott topology, plus the inclusion.
+def max_point_space(space: FinSpace):
+    """Maximal points of a Scott space with the relative topology, plus the
+    inclusion.
 
-    For a finite poset this subspace is discrete; that consequence is
-    asserted rather than assumed.
+    Takes the space `scott_space` built rather than the poset, so the
+    Scott space is never built a second time; a pair model keeps its own
+    restriction as `XiZhaoPoset.max_space`.  The maximal points are read
+    off the specialization order, which `scott_space` asserts equals the
+    poset's.  For a finite poset this
+    subspace is discrete; that consequence is asserted rather than assumed.
     """
-    space = scott_space(poset)
-    max_mask = maximal_elements(poset)
+    max_mask = bits.mask_of(
+        x for x in range(space.n) if space.spec_up[x] == 1 << x
+    )
     sub, incl = subspace(space, max_mask)
     if len(sub.opens) != 1 << sub.n:
         raise CheckFailed("maximal-point subspace is not discrete")

@@ -34,18 +34,16 @@ from .cofinite import (
     sc_cofnat,
     wd_cofnat,
 )
-from .errors import CheckFailed, PreconditionViolated, WdNotDetermined
+from .errors import CheckFailed, PreconditionViolated
 from .families import (
     ClosedFamily,
     WdStatus,
-    irr_family,
+    family_members,
     kf_family,
-    sc_family,
     wd_status,
 )
 from .posets import FinPoset
 from .reflections import PairWitness, pair_conditions_check
-from .scott import max_point_space, scott_space
 from .spaces import (
     FinSpace,
     irreducible_closed_sets,
@@ -55,6 +53,8 @@ from .spaces import (
 from .xizhao import xizhao_model
 
 SYSTEM_KINDS = ("SC", "KF", "WD", "IRR")
+# system kind -> the `family_members` kind it names
+_FAMILY_KIND = {"SC": "Sc", "KF": "KF", "WD": "WD", "IRR": "Irr"}
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,8 @@ def hc(system: SubsetSystemId, x):
     if system.kind == "WD":
         st = wd_status(x)
         return st.starred(x) if system.starred else st
-    fam = {"SC": sc_family, "KF": kf_family, "IRR": irr_family}[system.kind](x)
+    kind = _FAMILY_KIND[system.kind]
+    fam = ClosedFamily(x, family_members(kind, x), kind)
     return fam.starred() if system.starred else fam
 
 
@@ -467,8 +468,8 @@ def classifier_agreement(poset: FinPoset) -> AgreementReport:
     """The maximal-point space of a pair model and the model itself
     carry the same five preserved flags; disagreement raises."""
     model = xizhao_model(poset)
-    sigma = scott_space(model.poset)
-    maxsub, _incl = max_point_space(model.poset)
+    sigma = model.sigma
+    maxsub, _incl = model.max_space
     pm = classify(maxsub)
     ps = classify(sigma)
     bad = tuple(
@@ -481,17 +482,6 @@ def classifier_agreement(poset: FinPoset) -> AgreementReport:
 
 # ---------------------------------------------------------------------------
 # per-instance theorem checks
-
-
-def _determined_members(system: SubsetSystemId, space: FinSpace) -> tuple[int, ...]:
-    fam = hc(system, space)
-    if isinstance(fam, WdStatus):
-        if not fam.determined:
-            raise WdNotDetermined(
-                "family undetermined on " + ",".join(space.labels)
-            )
-        return fam.value
-    return fam.members
 
 
 def _closure_stable(space: FinSpace, members: tuple[int, ...]) -> None:
@@ -524,10 +514,11 @@ def dcpo_model_determined_check(
             "whole-space-dropping variants are not subset systems"
         )
     model = xizhao_model(poset)
-    sigma = scott_space(model.poset)
-    maxsub, incl = max_point_space(model.poset)
-    fam_sigma = _determined_members(system, sigma)
-    fam_max = _determined_members(system, maxsub)
+    sigma = model.sigma
+    maxsub, incl = model.max_space
+    kind = _FAMILY_KIND[system.kind]
+    fam_sigma = family_members(kind, sigma)
+    fam_max = family_members(kind, maxsub)
     _closure_stable(sigma, fam_sigma)
     _closure_stable(maxsub, fam_max)
 
@@ -595,12 +586,12 @@ def proposition_key_check(
             "pass plain system ids; starred forms are checked alongside"
         )
     model = xizhao_model(poset)
-    sigma = scott_space(model.poset)
-    maxsub, _incl = max_point_space(model.poset)
+    sigma = model.sigma
+    maxsub, _incl = model.max_space
 
     def eq_pair(space: FinSpace) -> tuple[bool, bool]:
-        hv = frozenset(_determined_members(h, space))
-        gv = frozenset(_determined_members(g, space))
+        hv = frozenset(family_members(_FAMILY_KIND[h.kind], space))
+        gv = frozenset(family_members(_FAMILY_KIND[g.kind], space))
         full = space.full_mask
         return hv == gv, hv - {full} == gv - {full}
 

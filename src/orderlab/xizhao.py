@@ -38,9 +38,24 @@ from .spaces import ContinuousMap, FinSpace, is_homeomorphism
 
 @dataclass(frozen=True)
 class XiZhaoPoset:
+    """One pair model, and the only builder of its Scott space.
+
+    `sigma` (the Scott space of `poset`) and `max_space` (its maximal-point
+    subspace with the inclusion) are built once, on first use; every
+    runner reads them here instead of calling `scott_space` itself.
+    """
+
     base: FinPoset
     poset: FinPoset
     pairs: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def sigma(self) -> FinSpace:
+        return scott_space(self.poset)
+
+    @cached_property
+    def max_space(self) -> tuple[FinSpace, ContinuousMap]:
+        return max_point_space(self.sigma)
 
     @cached_property
     def max_mask(self) -> int:
@@ -195,8 +210,8 @@ def scott_closed_slices(model: XiZhaoPoset, a_mask: int, e_mask: int) -> int:
 
 def max_homeo_check(model: XiZhaoPoset) -> ContinuousMap:
     """Homeomorphism (e,e) -> e between the two maximal-point spaces."""
-    model_max, _ = max_point_space(model.poset)
-    base_max, _ = max_point_space(model.base)
+    model_max, _ = model.max_space
+    base_max, _ = max_point_space(scott_space(model.base))
     graph = []
     for lbl in model_max.labels:
         x, e = lbl.split("@")
@@ -287,7 +302,7 @@ def zhao_filter_model(space: FinSpace, budget: int = 1 << 16) -> ZhaoFilterModel
         raise CheckFailed("filter model is not bounded complete", witness)
     if not is_algebraic_and_dcpo(poset):
         raise CheckFailed("filter model is not an algebraic dcpo")
-    model_max, _ = max_point_space(poset)
+    model_max, _ = max_point_space(scott_space(poset))
     singleton_positions = [
         i for i, g in enumerate(gens) if g.bit_count() == 1
     ]

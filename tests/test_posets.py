@@ -12,7 +12,6 @@ from orderlab.errors import (
 from orderlab.fixtures import CHAIN2, DIAMOND, VEE
 from orderlab.posets import (
     bounded_complete_oracle,
-    compact_elements,
     directed_subsets,
     down_sets,
     induced_subposet,
@@ -111,7 +110,6 @@ def test_directed_subsets_have_maxima():
 
 
 def test_compact_and_algebraic():
-    assert compact_elements(DIAMOND) == DIAMOND.full_mask
     assert is_algebraic_and_dcpo(DIAMOND)
     assert is_algebraic_and_dcpo(VEE)
 

@@ -88,11 +88,9 @@ def test_j_embedding_frozen_images():
 
 
 def _member_of(poset, hyper_index):
-    from orderlab.reflections import _legs
     from orderlab.spaces import irreducible_closed_sets, ph_space
 
-    model = xizhao_model(poset)
-    sigma, _, _ = _legs(model)
+    sigma = xizhao_model(poset).sigma
     hyper = ph_space(sigma, irreducible_closed_sets(sigma))
     return hyper.members[hyper_index]
 

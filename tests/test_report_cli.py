@@ -31,6 +31,7 @@ from orderlab.report import (
     parse_which,
     run_suite,
 )
+from orderlab.xizhao import xizhao_model
 
 REPORT_KEYS = (
     "schema", "verdict", "input", "model", "families",
@@ -183,6 +184,24 @@ def test_poset_report_shape_and_values():
     assert json.loads(canonical_json(report)) == report
 
 
+def test_poset_report_builds_each_scott_space_once(monkeypatch):
+    # every Scott-space build enumerates the directed subsets once
+    import orderlab.scott
+
+    built = []
+    enumerate_directed = orderlab.scott.directed_subsets
+
+    def counting(poset):
+        built.append(poset)
+        return enumerate_directed(poset)
+
+    xizhao_model.cache_clear()
+    monkeypatch.setattr(orderlab.scott, "directed_subsets", counting)
+    analyze_poset(VEE)
+    # the model's own space, then the base's for the maximal-point check
+    assert built == [xizhao_model(VEE).poset, VEE]
+
+
 def test_poset_report_selector_subset():
     report = analyze_poset(VEE, ("EQ0",))
     assert [e["name"] for e in report["equations"]] == ["EQ0"]
@@ -268,9 +287,14 @@ def instances(tmp_path):
     huge.write_text(json.dumps(
         {"elements": [f"x{i}" for i in range(61)], "leq": []}
     ))
+    chain26 = tmp_path / "chain26.json"
+    chain26.write_text(json.dumps(
+        {"elements": [f"c{i}" for i in range(26)],
+         "leq": [[f"c{i}", f"c{i + 1}"] for i in range(25)]}
+    ))
     return {"vee": str(vee), "sierp": str(sierp),
             "indiscrete": str(indiscrete), "huge": str(huge),
-            "dir": tmp_path}
+            "chain26": str(chain26), "dir": tmp_path}
 
 
 def test_cli_analyze(instances, capsys):
@@ -305,6 +329,9 @@ def test_cli_input_errors(instances, capsys):
 def test_cli_exit_codes_one_and_three(instances, capsys):
     # a 61-element carrier exhausts the mask budget
     assert main(["analyze", "--poset", instances["huge"]]) == 3
+    # a 26-element chain passes bounded completeness at once and then
+    # meets the 16-element algebraicity budget
+    assert main(["analyze", "--poset", instances["chain26"]]) == 3
     # a detected disagreement turns the oracle run red
     with inject_fault("eta-image"):
         assert main(["oracle", "--trials", "1", "--max-size", "3"]) == 1

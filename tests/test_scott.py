@@ -29,11 +29,11 @@ def test_frozen_scott_opens():
 
 def test_max_point_space_is_discrete():
     for poset in FIXTURE_POSETS.values():
-        sub, incl = max_point_space(poset)
+        sub, incl = max_point_space(scott_space(poset))
         assert len(sub.opens) == 1 << sub.n
         # inclusion lands on the maximal elements
         assert incl.target.labels == poset.labels
-    sub, _ = max_point_space(VEE)
+    sub, _ = max_point_space(scott_space(VEE))
     assert sub.labels == ("b", "c")
 
 
