@@ -1,15 +1,16 @@
-"""Bitmask subsets and small vectorized family algebra.
+"""Bitmask subsets and bit-sliced family algebra, on plain Python ints.
 
 A subset of an indexed carrier is a Python int with bit i set for element i.
 A family is a tuple of such masks in canonical order: sorted by cardinality,
-then lexicographically by the sorted index tuple.  The quadratic family
-scans are backed by numpy uint64 views, so carriers are capped at 60 bits
-(far above the sizes this workbench targets).
+then lexicographically by the sorted index tuple.  Family scans use the
+bit-sliced view from `bit_slices`: one int per point whose bit j says
+whether member j contains that point, so one int operation tests every
+member at once.  Ints grow as needed; `MAX_CARRIER` is a declared input
+budget (a larger carrier raises `BudgetExceeded`, exit code 3), not a word
+size.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .errors import BudgetExceeded
 
@@ -18,7 +19,7 @@ MAX_CARRIER = 60
 
 def check_carrier(n: int) -> None:
     if n > MAX_CARRIER:
-        raise BudgetExceeded(f"carrier of size {n} exceeds the {MAX_CARRIER}-bit cap")
+        raise BudgetExceeded(f"carrier of size {n} exceeds the {MAX_CARRIER}-point budget")
 
 
 def mask_of(indices) -> int:
@@ -51,8 +52,13 @@ def is_subset(a: int, b: int) -> bool:
     return a & ~b == 0
 
 
-def family_array(family) -> np.ndarray:
-    return np.array(family, dtype=np.uint64)
+def bit_slices(family, n: int) -> tuple[int, ...]:
+    """Entry p has bit j set when family member j contains point p."""
+    out = [0] * n
+    for j, m in enumerate(family):
+        for p in indices_of(m):
+            out[p] |= 1 << j
+    return tuple(out)
 
 
 def minimal_members(family) -> tuple[int, ...]:
@@ -72,27 +78,3 @@ def maximal_members(family) -> tuple[int, ...]:
         if not any(is_subset(m, k) for k in maxs):
             maxs.append(m)
     return canon(maxs)
-
-
-def closure_rows(masks: np.ndarray, point_down: np.ndarray) -> np.ndarray:
-    """Vectorized down-closure: row-wise OR of point_down[i] over set bits.
-
-    masks: uint64 array of subsets; point_down: uint64 array, entry i is the
-    down-mask of point i.  Returns the closure of each row.
-    """
-    out = np.zeros_like(masks)
-    for i in range(len(point_down)):
-        has = (masks >> np.uint64(i)) & np.uint64(1)
-        out |= np.where(has.astype(bool), point_down[i], np.uint64(0))
-    return out
-
-
-def subset_rows(rows: np.ndarray, mask: int) -> np.ndarray:
-    """Boolean vector: which rows are subsets of mask."""
-    m = np.uint64(mask)
-    return (rows & ~m) == np.uint64(0)
-
-
-def meets_rows(rows: np.ndarray, mask: int) -> np.ndarray:
-    """Boolean vector: which rows intersect mask."""
-    return (rows & np.uint64(mask)) != np.uint64(0)

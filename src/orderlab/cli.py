@@ -24,7 +24,6 @@ from .io import (
 from .fixtures import FIXTURE_POSETS
 from .reflections import decomposition_check, sobrification, wf_reflection
 from .report import (
-    ALL_WHICH,
     EQUATION_WHICH,
     RunConfig,
     analyze_poset,

@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from . import bits
 from .errors import (
     CheckFailed,

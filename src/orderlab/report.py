@@ -57,12 +57,8 @@ from .spaces import (
     point_closures,
 )
 from .systems import (
-    IRR,
-    KF,
-    SC,
     SYSTEM_KINDS,
     SubsetSystemId,
-    WD,
     classifier_agreement,
     classify,
     proposition_key_check,

@@ -8,8 +8,6 @@ coincide and the constructor insists on it.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import bits
 from .errors import CheckFailed
 from .posets import FinPoset, directed_subsets, up_sets
@@ -20,21 +18,22 @@ def scott_space(poset: FinPoset) -> FinSpace:
     """Scott space of a poset, dual-path checked.
 
     Suprema of directed sets are computed by the definitional least-upper-
-    bound routine inside `directed_subsets`, never read off as maxima.
+    bound routine inside `directed_subsets`, never read off as maxima.  The
+    inaccessibility filter is bit-sliced over the directed sets: per point,
+    one int of the directed sets holding it and one of those whose
+    supremum it is.
     """
     candidates = up_sets(poset)
     directed = directed_subsets(poset)
-    if directed:
-        d_arr = bits.family_array([d for d, _ in directed])
-        s_arr = bits.family_array([1 << s for _, s in directed])
-    else:
-        d_arr = s_arr = bits.family_array([])
+    holds = bits.bit_slices([d for d, _ in directed], poset.n)
+    sup_at = bits.bit_slices([1 << s for _, s in directed], poset.n)
     definitional = []
     for u in candidates:
-        uu = np.uint64(u)
-        sup_inside = (s_arr & uu) != np.uint64(0)
-        meets = (d_arr & uu) != np.uint64(0)
-        if not (sup_inside & ~meets).any():
+        sup_inside = meets = 0
+        for p in bits.indices_of(u):
+            sup_inside |= sup_at[p]
+            meets |= holds[p]
+        if not sup_inside & ~meets:
             definitional.append(u)
     if tuple(definitional) != candidates:
         raise CheckFailed("definitional Scott opens differ from upper sets")

@@ -1,11 +1,14 @@
 """Finite topological spaces with explicit open families.
 
 A `FinSpace` stores every open set as a bitmask.  Construction validates the
-closure laws (binary union, binary intersection, empty and full member) and
-then asserts the Alexandrov law: the open family coincides with the family
-of all up-sets of its own specialization preorder.  That law is what makes
-the fast closure/saturation paths exact; the definitional paths stay
-available and are cross-checked by the oracle harness.
+closure laws (binary union, binary intersection, empty and full member)
+through the Alexandrov law: the open family must coincide with the family
+of all up-sets of its own specialization preorder, which is closed under
+both operations.  That law is what makes the fast closure/saturation paths
+exact; the definitional paths stay available and are cross-checked by the
+oracle harness.  Family scans run on one path at every size, over the
+bit-sliced view of `bits.bit_slices` (one int per point, one bit per
+member).
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-
-import numpy as np
 
 from . import bits
 from .errors import (
@@ -164,52 +165,34 @@ def _preorder_up_sets(spec_up: tuple[int, ...]) -> tuple[int, ...]:
     return bits.canon(out)
 
 
-def _check_family_closure(labels, masks: tuple[int, ...]) -> None:
-    n = len(labels)
-    full = (1 << n) - 1
+def _closure_witness(labels, masks: tuple[int, ...]) -> None:
+    """Raise for the first pair, in `combinations` order, whose union or
+    intersection is missing from the family."""
     fam = frozenset(masks)
-    if 0 not in fam:
-        raise MissingEmptyOrFull("empty")
-    if full not in fam:
-        raise MissingEmptyOrFull("full")
-    arr = bits.family_array(masks)
-    k = len(masks)
-    if k <= 256:
-        for a, b in itertools.combinations(masks, 2):
-            if a | b not in fam:
-                raise NotClosedUnderUnion(
-                    tuple(labels[i] for i in bits.indices_of(a)),
-                    tuple(labels[i] for i in bits.indices_of(b)),
-                )
-            if a & b not in fam:
-                raise NotClosedUnderIntersection(
-                    tuple(labels[i] for i in bits.indices_of(a)),
-                    tuple(labels[i] for i in bits.indices_of(b)),
-                )
-    else:
-        sorted_arr = np.sort(arr)
-        for op, exc in (
-            (np.bitwise_or, NotClosedUnderUnion),
-            (np.bitwise_and, NotClosedUnderIntersection),
+    for a, b in itertools.combinations(masks, 2):
+        for m, exc in (
+            (a | b, NotClosedUnderUnion),
+            (a & b, NotClosedUnderIntersection),
         ):
-            prod = op(arr[:, None], arr[None, :])
-            present = sorted_arr[
-                np.minimum(np.searchsorted(sorted_arr, prod), len(sorted_arr) - 1)
-            ] == prod
-            if not present.all():
-                i, j = np.argwhere(~present)[0]
+            if m not in fam:
                 raise exc(
-                    tuple(labels[x] for x in bits.indices_of(int(arr[i]))),
-                    tuple(labels[x] for x in bits.indices_of(int(arr[j]))),
+                    tuple(labels[i] for i in bits.indices_of(a)),
+                    tuple(labels[i] for i in bits.indices_of(b)),
                 )
 
 
 def make_space(labels, opens) -> FinSpace:
     """Build a finite space from labels and opens (label lists or masks).
 
-    Validates the closure laws, then asserts that the family equals the
-    up-set family of its own specialization preorder (always a theorem for
-    a validated family; checked anyway).
+    After the empty/full check, a family is accepted exactly when it equals
+    the up-set family of its own specialization preorder; those up-sets are
+    closed under union and intersection, so this proves the closure laws.
+    Every member is such an up-set, so the equality holds exactly when
+    joining any member with any point's minimal neighbourhood stays in the
+    family (O(k*n)); the up-sets are then enumerated and compared as well.
+    The enumeration can be exponential in n, so it never runs on a family
+    that fails the join test: that family goes to the pairwise scan, which
+    names the first failing pair in `combinations` order.
     """
     labels = tuple(labels)
     seen = set()
@@ -231,8 +214,15 @@ def make_space(labels, opens) -> FinSpace:
                 m |= 1 << index[l]
             masks.append(m)
     canon_masks = bits.canon(masks)
-    _check_family_closure(labels, canon_masks)
+    fam = frozenset(canon_masks)
+    if 0 not in fam:
+        raise MissingEmptyOrFull("empty")
+    if (1 << len(labels)) - 1 not in fam:
+        raise MissingEmptyOrFull("full")
     space = FinSpace(labels, canon_masks)
+    if any(u | v not in fam for v in space.spec_up for u in canon_masks):
+        _closure_witness(labels, canon_masks)
+        raise CheckFailed("family is not Alexandrov, yet every pair closes")
     if _preorder_up_sets(space.spec_up) != space.opens:
         raise CheckFailed("Alexandrov law: opens differ from specialization up-sets")
     for x in range(space.n):
@@ -372,30 +362,28 @@ def irreducible_closed_sets(space: FinSpace) -> tuple[int, ...]:
 
     Definitional scan: A is reducible iff some closed B has A not inside B
     and A not inside cl(A \\ B); then A = (A n B) u (A n cl(A\\B)) splits it.
-    The result is cross-checked against the point-closure family (finite
-    spaces are sober, so the two must coincide).
+    Both conditions are evaluated for every B at once on the bit-sliced
+    view: `outside[p]` has bit j set when closed set j misses p, so A is
+    not inside B_j for the bits of the union of `outside` over A, and p
+    lies in cl(A \\ B_j) for the bits of the union of `outside` over the
+    points of A above p.  The result is cross-checked against the
+    point-closure family (finite spaces are sober, so the two must
+    coincide).
     """
     closed = [c for c in space.closed if c]
-    if not closed:
-        return ()
-    arr = bits.family_array(closed)
-    down = bits.family_array(space.spec_down)
+    every = (1 << len(closed)) - 1
+    outside = [every & ~s for s in bits.bit_slices(closed, space.n)]
     out = []
-    if len(closed) ** 2 <= 4_000_000:
-        r_matrix = arr[:, None] & ~arr[None, :]
-        cl_matrix = bits.closure_rows(r_matrix, down)
-        not_in_b = r_matrix != np.uint64(0)
-        not_in_cl = (arr[:, None] & ~cl_matrix) != np.uint64(0)
-        reducible = (not_in_b & not_in_cl).any(axis=1)
-        out = [c for c, red in zip(closed, reducible) if not red]
-    else:
-        for a in closed:
-            r = np.uint64(a) & ~arr
-            clr = bits.closure_rows(r, down)
-            not_in_b = (np.uint64(a) & ~arr) != np.uint64(0)
-            not_in_cl = (np.uint64(a) & ~clr) != np.uint64(0)
-            if not (not_in_b & not_in_cl).any():
-                out.append(a)
+    for a in closed:
+        not_in_b = not_in_cl = 0
+        for p in bits.indices_of(a):
+            not_in_b |= outside[p]
+            p_in_cl = 0
+            for q in bits.indices_of(a & space.spec_up[p]):
+                p_in_cl |= outside[q]
+            not_in_cl |= every & ~p_in_cl
+        if not not_in_b & not_in_cl:
+            out.append(a)
     result = bits.canon(out)
     if result != point_closures(space):
         raise CheckFailed("irreducible closed sets differ from point closures")
@@ -526,17 +514,6 @@ class HyperSpace:
         return bits.mask_of(self.eta)
 
 
-def _close_under(masks: set[int], op) -> tuple[int, ...]:
-    family = bits.canon(masks)
-    while True:
-        arr = bits.family_array(family)
-        prod = op(arr[:, None], arr[None, :]).ravel()
-        merged = np.unique(np.concatenate([arr, prod]))
-        if len(merged) == len(family):
-            return family
-        family = bits.canon(int(x) for x in merged)
-
-
 def member_label(base: FinSpace, mask: int) -> str:
     return "{" + ",".join(base.labels[i] for i in bits.indices_of(mask)) + "}"
 
@@ -545,11 +522,14 @@ def member_label(base: FinSpace, mask: int) -> str:
 def ph_space(base: FinSpace, members: tuple[int, ...]) -> HyperSpace:
     """Lower-Vietoris space on a family of nonempty irreducible closed sets.
 
-    The topology is generated from the diamond subbase and then verified:
-    its closed sets must be exactly the boxed base-closed sets, and the
-    specialization order must be inclusion of members.  When the family
-    contains every point closure, the unit x -> cl{x} is attached and
-    checked to be a topological and order embedding (for T0 bases).
+    The topology is generated from the diamond subbase: on a finite set
+    its opens are the up-sets of the preorder in which the up-set of
+    member i is the intersection of the subbasic sets containing i.  It is
+    then verified: its closed sets must be exactly the boxed base-closed
+    sets, and the specialization order must be inclusion of members.  When
+    the family contains every point closure, the unit x -> cl{x} is
+    attached and checked to be a topological and order embedding (for T0
+    bases).
     """
     members = bits.canon(members)
     irr = set(irreducible_closed_sets(base))
@@ -559,26 +539,28 @@ def ph_space(base: FinSpace, members: tuple[int, ...]) -> HyperSpace:
     k = len(members)
     bits.check_carrier(k)
     labels = tuple(member_label(base, m) for m in members)
-    member_arr = bits.family_array(members)
-    subbase = set()
+    every = (1 << k) - 1
+    holds = bits.bit_slices(members, base.n)
+    subbase = {0, every}
     for u in base.opens:
         d = 0
-        hits = (member_arr & np.uint64(u)) != np.uint64(0)
-        for i in np.nonzero(hits)[0]:
-            d |= 1 << int(i)
+        for p in bits.indices_of(u):
+            d |= holds[p]
         subbase.add(d)
-    subbase.add(0)
-    subbase.add((1 << k) - 1)
-    base_family = _close_under(subbase, np.bitwise_and)
-    opens = _close_under(set(base_family), np.bitwise_or)
-    space = make_space(labels, opens)
+    nbhd = []
+    for i in range(k):
+        acc = every
+        for d in subbase:
+            if d >> i & 1:
+                acc &= d
+        nbhd.append(acc)
+    space = make_space(labels, _preorder_up_sets(tuple(nbhd)))
     expected_closed = set()
     for c in base.closed:
-        box = 0
-        inside = (member_arr & ~np.uint64(c)) == np.uint64(0)
-        for i in np.nonzero(inside)[0]:
-            box |= 1 << int(i)
-        expected_closed.add(box)
+        hit = 0
+        for p in bits.indices_of(base.full_mask & ~c):
+            hit |= holds[p]
+        expected_closed.add(every & ~hit)
     if bits.canon(expected_closed) != space.closed:
         raise CheckFailed("hyperspace closed sets differ from boxed base closeds")
     for i in range(k):

@@ -40,9 +40,10 @@ from .spaces import ContinuousMap, FinSpace, is_homeomorphism
 class XiZhaoPoset:
     """One pair model, and the only builder of its Scott space.
 
-    `sigma` (the Scott space of `poset`) and `max_space` (its maximal-point
-    subspace with the inclusion) are built once, on first use; every
-    runner reads them here instead of calling `scott_space` itself.
+    `sigma` (the Scott space of `poset`), `max_space` (its maximal-point
+    subspace with the inclusion) and `base_max_space` (the same subspace
+    of the base's Scott space) are built once, on first use; every runner
+    reads them here instead of calling `scott_space` itself.
     """
 
     base: FinPoset
@@ -56,6 +57,10 @@ class XiZhaoPoset:
     @cached_property
     def max_space(self) -> tuple[FinSpace, ContinuousMap]:
         return max_point_space(self.sigma)
+
+    @cached_property
+    def base_max_space(self) -> tuple[FinSpace, ContinuousMap]:
+        return max_point_space(scott_space(self.base))
 
     @cached_property
     def max_mask(self) -> int:
@@ -211,7 +216,7 @@ def scott_closed_slices(model: XiZhaoPoset, a_mask: int, e_mask: int) -> int:
 def max_homeo_check(model: XiZhaoPoset) -> ContinuousMap:
     """Homeomorphism (e,e) -> e between the two maximal-point spaces."""
     model_max, _ = model.max_space
-    base_max, _ = max_point_space(scott_space(model.base))
+    base_max, _ = model.base_max_space
     graph = []
     for lbl in model_max.labels:
         x, e = lbl.split("@")

@@ -1,7 +1,9 @@
 """Property-based checks of the structural invariants."""
 
+import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from orderlab import bits
@@ -11,6 +13,11 @@ from orderlab.cofinite import (
     fin,
     random_coset_expr,
     window_oracle,
+)
+from orderlab.errors import (
+    MissingEmptyOrFull,
+    NotClosedUnderIntersection,
+    NotClosedUnderUnion,
 )
 from orderlab.families import kf_sets, wd_status
 from orderlab.generate import derive_seed, generate_poset
@@ -25,6 +32,7 @@ from orderlab.report import analyze_poset, canonical_json
 from orderlab.scott import scott_space
 from orderlab.spaces import (
     irreducible_closed_sets,
+    make_space,
     ph_space,
     point_closures,
 )
@@ -44,6 +52,18 @@ def posets(draw, max_n=5):
             if draw(st.booleans()):
                 pairs.append((labels[i], labels[j]))
     return validate_poset(labels, tuple(pairs))
+
+
+@st.composite
+def families(draw, max_n=4):
+    """Labels and a list of masks on them, holding the empty and full set
+    about half the time."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    full = (1 << n) - 1
+    masks = draw(st.lists(st.integers(0, full), max_size=1 << n))
+    if draw(st.booleans()):
+        masks += [0, full]
+    return tuple(f"e{i}" for i in range(n)), masks
 
 
 @st.composite
@@ -113,6 +133,34 @@ def test_hyperspace_duality(poset):
     all_members = (1 << len(hyper.members)) - 1
     for c in space.closed:
         assert hyper.diamond(space.full_mask ^ c) == all_members ^ hyper.box(c)
+
+
+@given(families())
+@settings(max_examples=300, deadline=None)
+def test_make_space_accepts_exactly_the_topologies(family):
+    labels, masks = family
+    fam = bits.canon(masks)
+    members = set(fam)
+    first_failure = None
+    for a, b in itertools.combinations(fam, 2):
+        if a | b not in members:
+            first_failure = (NotClosedUnderUnion, a, b)
+            break
+        if a & b not in members:
+            first_failure = (NotClosedUnderIntersection, a, b)
+            break
+    if not {0, (1 << len(labels)) - 1} <= members:
+        with pytest.raises(MissingEmptyOrFull):
+            make_space(labels, masks)
+    elif first_failure is None:
+        assert make_space(labels, masks).opens == fam
+    else:
+        exc, a, b = first_failure
+        with pytest.raises((NotClosedUnderUnion, NotClosedUnderIntersection)) as info:
+            make_space(labels, masks)
+        assert type(info.value) is exc
+        named = tuple(tuple(labels[i] for i in bits.indices_of(m)) for m in (a, b))
+        assert info.value.pair == named
 
 
 @given(cosets(), cosets())

@@ -1,6 +1,10 @@
 """Serialization, reports, seeded corpus, oracle search, and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -200,6 +204,37 @@ def test_poset_report_builds_each_scott_space_once(monkeypatch):
     analyze_poset(VEE)
     # the model's own space, then the base's for the maximal-point check
     assert built == [xizhao_model(VEE).poset, VEE]
+    # a second report reads both spaces off the cached model
+    built.clear()
+    analyze_poset(VEE)
+    assert built == []
+
+
+def test_orderlab_runs_without_numpy():
+    # a None entry in sys.modules makes `import numpy` raise ImportError
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from orderlab.fixtures import DIAMOND, VEE\n"
+        "from orderlab.reflections import sobrification\n"
+        "from orderlab.report import analyze_poset\n"
+        "from orderlab.scott import scott_space\n"
+        "from orderlab.systems import classify\n"
+        "assert analyze_poset(VEE)['verdict'] == 'PASS'\n"
+        "space = scott_space(DIAMOND)\n"
+        "sobrification(space)\n"
+        "classify(space)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_poset_report_selector_subset():

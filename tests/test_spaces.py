@@ -36,6 +36,25 @@ def test_make_space_rejections():
         make_space(("a", "b", "c"), (0, 1, 2, 7))
     with pytest.raises(NotClosedUnderIntersection):
         make_space(("a", "b", "c"), (0, 3, 5, 7))
+    # more than 256 opens: the discrete topology on 9 points without {a, b}
+    with pytest.raises(NotClosedUnderUnion) as info:
+        make_space(tuple("abcdefghi"), [m for m in range(1 << 9) if m != 0b11])
+    assert info.value.pair == (("a",), ("b",))
+
+
+def test_make_space_names_a_witness_without_enumerating_up_sets(monkeypatch):
+    # the singletons on 40 points (with the empty and full set) have 2^40
+    # up-sets in their specialization order; a rejection must not list them
+    import orderlab.spaces
+
+    def refuse(spec_up):
+        raise AssertionError("up-sets enumerated for a rejected family")
+
+    monkeypatch.setattr(orderlab.spaces, "_preorder_up_sets", refuse)
+    labels = tuple(f"p{i}" for i in range(40))
+    with pytest.raises(NotClosedUnderUnion) as info:
+        make_space(labels, [0, (1 << 40) - 1] + [1 << i for i in range(40)])
+    assert info.value.pair == (("p0",), ("p1",))
 
 
 def test_sierpinski_structure():
