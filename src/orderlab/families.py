@@ -51,6 +51,11 @@ class ClosedFamily:
         )
 
 
+# One membership set per compact saturated family, keyed by the cached
+# tuple that `compact_saturated_sets` returns for its space.
+_membership_set = lru_cache(maxsize=4096)(frozenset)
+
+
 @dataclass(frozen=True)
 class FilteredFamily:
     """Nonempty family of compact saturated sets, filtered under inclusion."""
@@ -61,7 +66,7 @@ class FilteredFamily:
     def __post_init__(self):
         if not self.members:
             raise InvalidFamily("family is empty")
-        qx = set(compact_saturated_sets(self.space))
+        qx = _membership_set(compact_saturated_sets(self.space))
         for m in self.members:
             if m not in qx:
                 raise InvalidFamily(
@@ -110,13 +115,26 @@ class WdStatus:
         )
 
 
-def _meeting_all(space: FinSpace, members) -> list[int]:
-    """Closed sets meeting every member of a family (definitional scan)."""
-    out = []
-    for c in space.closed:
-        if c and all(c & k for k in members):
-            out.append(c)
-    return out
+def _minimal_meeting(space: FinSpace, members) -> tuple[int, ...]:
+    """Inclusion-minimal closed sets meeting every member of a nonempty
+    family, in canonical order (definitional scan over the closed family).
+
+    The OR of the closed slices over a member's points selects the closed
+    sets meeting that member, and the AND over the members selects those
+    meeting them all (the empty closed set meets nothing).  A selected set
+    is kept when none of its strict subsets is selected.
+    """
+    slices = space.closed_slices
+    selected = (1 << len(space.closed)) - 1
+    for k in members:
+        meets = 0
+        for p in bits.indices_of(k):
+            meets |= slices[p]
+        selected &= meets
+    strict = space.closed_strict_subsets
+    return tuple(
+        space.closed[j] for j in bits.indices_of(selected) if not strict[j] & selected
+    )
 
 
 def minimal_closed_meeting(space: FinSpace, family: FilteredFamily) -> tuple[int, ...]:
@@ -126,9 +144,9 @@ def minimal_closed_meeting(space: FinSpace, family: FilteredFamily) -> tuple[int
     whole closed family, and the reduction to the least member (a
     singleton family is cofinal in any finite filtered family).
     """
-    full = bits.minimal_members(_meeting_all(space, family.members))
+    full = _minimal_meeting(space, family.members)
     least = family.least_member()
-    reduced = bits.minimal_members(_meeting_all(space, (least,)))
+    reduced = _minimal_meeting(space, (least,))
     if full != reduced:
         raise CheckFailed("least-member reduction disagrees with the full scan")
     return full
@@ -197,7 +215,7 @@ def kf_sets(space: FinSpace) -> tuple[int, ...]:
         out.update(m)
     sample = qx if len(qx) * len(space.closed) <= 20_000 else qx[:24] + qx[-24:]
     for k in sample:
-        definitional = bits.minimal_members(_meeting_all(space, (k,)))
+        definitional = _minimal_meeting(space, (k,))
         if definitional != per_k[k]:
             raise CheckFailed("single-set scan disagrees with definition", k)
     pairs = []
@@ -211,7 +229,7 @@ def kf_sets(space: FinSpace) -> tuple[int, ...]:
             break
     for big, small in pairs:
         fam = FilteredFamily(space, (big, small))
-        two = bits.minimal_members(_meeting_all(space, fam.members))
+        two = _minimal_meeting(space, fam.members)
         if two != per_k[small]:
             raise CheckFailed("two-member scan disagrees with least member")
         if not set(two) <= out:

@@ -219,13 +219,18 @@ def bounded_complete_oracle(poset: FinPoset):
 
 
 def is_directed(poset: FinPoset, mask: int) -> bool:
-    """Nonempty, and every pair of members has an upper bound in the set."""
+    """Nonempty, and every pair of members has an upper bound in the set.
+
+    A member paired with itself is its own bound, so each unordered pair
+    of distinct members is tested once, as `up[a] & up[b] & mask`.
+    """
     if not mask:
         return False
     members = bits.indices_of(mask)
-    for a in members:
-        for b in members:
-            if not upper_bounds(poset, (1 << a) | (1 << b)) & mask:
+    for i, a in enumerate(members):
+        bounds_a = poset.up[a] & mask
+        for b in members[i + 1:]:
+            if not bounds_a & poset.up[b]:
                 return False
     return True
 
@@ -266,9 +271,10 @@ def is_algebraic_and_dcpo(poset: FinPoset) -> bool:
     directed = []
     for s in range(1, 1 << poset.n):
         if is_directed(poset, s):
-            if supremum(poset, s) is None:
+            sup = supremum(poset, s)
+            if sup is None:
                 return False
-            directed.append((s, supremum(poset, s)))
+            directed.append((s, sup))
     compact = 0
     for k in range(poset.n):
         if all(d & poset.up[k] for d, sup in directed if poset.leq(k, sup)):

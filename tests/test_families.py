@@ -2,7 +2,8 @@
 
 import pytest
 
-from orderlab.errors import InvalidFamily, PreconditionViolated
+from orderlab import families
+from orderlab.errors import CheckFailed, InvalidFamily, PreconditionViolated
 from orderlab.families import (
     FilteredFamily,
     WdStatus,
@@ -112,3 +113,14 @@ def test_sandwich_over_corpus(small_corpus):
         irr = set(irreducible_closed_sets(space))
         assert sc <= kf <= irr
         assert wd_status(space).determined
+
+
+def test_single_set_sample_catches_a_dropped_member(monkeypatch):
+    real = families._m_single_fast
+    monkeypatch.setattr(families, "_m_single_fast", lambda space, k: real(space, k)[1:])
+    kf_sets.cache_clear()
+    try:
+        with pytest.raises(CheckFailed, match="single-set scan disagrees"):
+            kf_sets(scott_space(VEE))
+    finally:
+        kf_sets.cache_clear()

@@ -19,18 +19,20 @@ from orderlab.errors import (
     NotClosedUnderIntersection,
     NotClosedUnderUnion,
 )
-from orderlab.families import kf_sets, wd_status
+from orderlab.families import _minimal_meeting, kf_sets, wd_status
 from orderlab.generate import derive_seed, generate_poset
 from orderlab.posets import (
     bounded_complete_oracle,
     down_sets,
     is_bounded_complete,
+    is_directed,
     up_sets,
     validate_poset,
 )
 from orderlab.report import analyze_poset, canonical_json
 from orderlab.scott import scott_space
 from orderlab.spaces import (
+    compact_saturated_sets,
     irreducible_closed_sets,
     make_space,
     ph_space,
@@ -52,6 +54,26 @@ def posets(draw, max_n=5):
             if draw(st.booleans()):
                 pairs.append((labels[i], labels[j]))
     return validate_poset(labels, tuple(pairs))
+
+
+@st.composite
+def alexandrov_spaces(draw, max_n=5):
+    """The space of up-sets of a random preorder (T0 or not), with the
+    up-sets listed by brute force."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=2 * n))
+    up = [1 << i for i in range(n)]
+    for _ in range(n):
+        for a, b in pairs:
+            up[a] |= up[b]
+    opens = [m for m in range(1 << n)
+             if all(not m >> a & 1 or up[a] & ~m == 0 for a in range(n))]
+    return make_space(tuple(f"e{i}" for i in range(n)), opens)
+
+
+def finite_spaces():
+    return st.one_of(posets().map(scott_space), alexandrov_spaces())
 
 
 @st.composite
@@ -123,6 +145,43 @@ def test_family_sandwich(poset):
     assert set(st_.lower) <= set(st_.upper)
     if st_.determined:
         assert set(st_.lower) <= set(st_.value) <= set(st_.upper)
+
+
+@given(finite_spaces())
+@SMALL
+def test_saturation_is_the_intersection_of_open_supersets(space):
+    for mask in range(1 << space.n):
+        expected = space.full_mask
+        for u in space.opens:
+            if bits.is_subset(mask, u):
+                expected &= u
+        assert space.saturation(mask) == expected
+
+
+@given(finite_spaces())
+@SMALL
+def test_minimal_meeting_is_the_definitional_scan(space):
+    qx = compact_saturated_sets(space)
+    for members in [(k,) for k in qx] + list(itertools.combinations(qx, 2)):
+        meeting = [c for c in space.closed if all(c & k for k in members)]
+        expected = bits.canon(
+            c for c in meeting
+            if not any(d != c and bits.is_subset(d, c) for d in meeting)
+        )
+        assert _minimal_meeting(space, members) == expected
+
+
+@given(posets())
+@SMALL
+def test_is_directed_is_the_pairwise_definition(poset):
+    for mask in range(1 << poset.n):
+        members = bits.indices_of(mask)
+        expected = bool(members) and all(
+            any(poset.leq(a, c) and poset.leq(b, c) for c in members)
+            for a in members
+            for b in members
+        )
+        assert is_directed(poset, mask) == expected
 
 
 @given(posets(max_n=4))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from orderlab import bits
+from orderlab import bits, spaces
 from orderlab.errors import (
     CheckFailed,
     FamilyNotIrreducible,
@@ -26,7 +26,9 @@ from orderlab.spaces import (
     specialization_order,
     subspace,
 )
-from orderlab.fixtures import VEE
+from orderlab.fixtures import DIAMOND, VEE
+from orderlab.posets import up_sets, validate_poset
+from orderlab.scott import scott_space
 
 
 def test_make_space_rejections():
@@ -169,3 +171,46 @@ def test_ph_space_rejects_non_irreducible_members():
     d = discrete(2)
     with pytest.raises(FamilyNotIrreducible):
         ph_space(d, (3,))
+
+
+def test_compact_saturated_sets_rejects_a_non_saturated_candidate(monkeypatch):
+    real = spaces._preorder_up_sets
+    # {0} is closed in the Sierpinski space: its saturation is the whole space
+    monkeypatch.setattr(
+        spaces, "_preorder_up_sets", lambda spec_up: bits.canon(real(spec_up) + (0b01,))
+    )
+    compact_saturated_sets.cache_clear()
+    try:
+        with pytest.raises(CheckFailed, match="not an intersection of opens") as info:
+            compact_saturated_sets(SIERPINSKI)
+    finally:
+        compact_saturated_sets.cache_clear()
+    assert info.value.witness == 0b01
+
+
+def test_subfamily_scan_runs_once_per_small_space_and_its_failures_are_raised(monkeypatch):
+    space = scott_space(DIAMOND)
+    assert len(space.opens) <= 12
+    real = spaces._subfamily_scan_failures
+    calls = []
+
+    def failing_subcover(space, candidates):
+        calls.append(real(space, candidates))
+        return calls[-1] | 0b10  # the second candidate's subcover fails
+
+    monkeypatch.setattr(spaces, "_subfamily_scan_failures", failing_subcover)
+    compact_saturated_sets.cache_clear()
+    try:
+        with pytest.raises(CheckFailed, match="compactness check") as info:
+            compact_saturated_sets(space)
+        assert calls == [0]
+        candidates = [s for s in up_sets(DIAMOND) if s]
+        assert info.value.witness == candidates[1]
+        calls.clear()
+        labels = tuple(f"c{i}" for i in range(12))
+        chain = validate_poset(labels, tuple(zip(labels, labels[1:])))
+        compact_saturated_sets(scott_space(chain))  # 13 opens: no scan
+        assert calls == []
+    finally:
+        compact_saturated_sets.cache_clear()
+
