@@ -70,11 +70,3 @@ def minimal_members(family) -> tuple[int, ...]:
             mins.append(m)
     return canon(mins)
 
-
-def maximal_members(family) -> tuple[int, ...]:
-    ordered = sorted(set(family), key=subset_key, reverse=True)
-    maxs: list[int] = []
-    for m in ordered:
-        if not any(is_subset(m, k) for k in maxs):
-            maxs.append(m)
-    return canon(maxs)

@@ -16,6 +16,7 @@ goes through it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -157,12 +158,14 @@ def _m_single_fast(space: FinSpace, k_mask: int) -> tuple[int, ...]:
 
     Any closed set meeting K at a point contains that point's closure,
     which still meets K; so the minimal ones are minimal point closures
-    of minimal points of K.  This relies only on the validated law that
-    closed sets are specialization down-sets.
+    of minimal points of K.  Minimal is taken up to the preorder: no point
+    of K lies strictly below x, though points equivalent to x may (on a
+    non-T0 space they share its closure).  This relies only on closed
+    sets being specialization down-sets.
     """
     candidates = []
     for x in bits.indices_of(k_mask):
-        if space.spec_down[x] & k_mask == 1 << x:
+        if not space.spec_down[x] & k_mask & ~space.spec_up[x]:
             candidates.append(space.spec_down[x])
     return bits.minimal_members(candidates)
 
@@ -218,15 +221,12 @@ def kf_sets(space: FinSpace) -> tuple[int, ...]:
         definitional = _minimal_meeting(space, (k,))
         if definitional != per_k[k]:
             raise CheckFailed("single-set scan disagrees with definition", k)
-    pairs = []
-    for i, big in enumerate(qx):
-        for small in qx[i:]:
-            if small != big and bits.is_subset(small, big):
-                pairs.append((big, small))
-            if len(pairs) >= 64:
-                break
-        if len(pairs) >= 64:
-            break
+    # canonical order lists a strict subset before its superset
+    pairs = itertools.islice(
+        ((big, small) for i, big in enumerate(qx) for small in qx[:i]
+         if bits.is_subset(small, big)),
+        64,
+    )
     for big, small in pairs:
         fam = FilteredFamily(space, (big, small))
         two = _minimal_meeting(space, fam.members)

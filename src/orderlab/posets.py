@@ -21,23 +21,32 @@ from .errors import (
 )
 
 
+def check_preorder(labels, up) -> None:
+    """Raise unless `up` holds one up-mask per label of a reflexive and
+    transitive relation (the shared check of `FinPoset` and `FinSpace`)."""
+    n = len(labels)
+    bits.check_carrier(n)
+    if len(up) != n:
+        raise CheckFailed("one up-mask per label expected", (n, len(up)))
+    full = (1 << n) - 1
+    for i, u in enumerate(up):
+        if u & ~full or not u >> i & 1:
+            raise CheckFailed("up-mask not reflexive or out of range", i)
+        for j in bits.indices_of(u):
+            if up[j] & ~u:
+                raise CheckFailed("relation not transitive", (i, j))
+
+
 @dataclass(frozen=True)
 class FinPoset:
     labels: tuple[str, ...]
     up: tuple[int, ...]
 
     def __post_init__(self):
-        bits.check_carrier(len(self.labels))
-        n = len(self.labels)
-        full = (1 << n) - 1
-        for i in range(n):
-            u = self.up[i]
-            if u & ~full or not u >> i & 1:
-                raise CheckFailed("up-mask not reflexive or out of range", i)
-            for j in bits.indices_of(u):
-                if self.up[j] & ~u:
-                    raise CheckFailed("relation not transitive", (i, j))
-                if i != j and self.up[j] >> i & 1:
+        check_preorder(self.labels, self.up)
+        for i, u in enumerate(self.up):
+            for j in bits.indices_of(u & ~(1 << i)):
+                if self.up[j] >> i & 1:
                     raise CheckFailed("relation not antisymmetric", (i, j))
 
     @property
@@ -50,11 +59,7 @@ class FinPoset:
 
     @cached_property
     def down(self) -> tuple[int, ...]:
-        d = [0] * self.n
-        for i in range(self.n):
-            for j in bits.indices_of(self.up[i]):
-                d[j] |= 1 << i
-        return tuple(d)
+        return bits.bit_slices(self.up, self.n)
 
     def leq(self, i: int, j: int) -> bool:
         return bool(self.up[i] >> j & 1)

@@ -191,15 +191,6 @@ class JEmbeddingReport:
 _REFLECTION_FAMILY = {"sober": "Irr", "wf": "WD"}
 
 
-def _unlift(mask: int, incl: ContinuousMap) -> int:
-    """Pull an ambient mask back along an inclusion's graph."""
-    out = 0
-    for sub_idx, amb_idx in enumerate(incl.graph):
-        if mask >> amb_idx & 1:
-            out |= 1 << sub_idx
-    return out
-
-
 def j_embedding_check(poset: FinPoset, kind: str = "sober") -> JEmbeddingReport:
     """Closure map between the maximal-point hyperspace and the full one.
 
@@ -246,7 +237,7 @@ def j_embedding_check(poset: FinPoset, kind: str = "sober") -> JEmbeddingReport:
         raise CheckFailed("image-law routes disagree")
     image_law = image_mask == meets_max
     inverse_law = all(
-        lower.members[idx] == _unlift(upper.members[jmap.graph[idx]] & model.max_mask, incl)
+        lower.members[idx] == incl.preimage(upper.members[jmap.graph[idx]])
         for idx in range(lower.space.n)
     )
     saturated = upper.space.saturation(image_mask) == image_mask
@@ -325,9 +316,7 @@ def pair_conditions_check(poset: FinPoset, members: tuple[int, ...]) -> PairWitn
 
     checked = 0
     for q in compact_saturated_sets(hyper.space):
-        k_mask = bits.mask_of(
-            i for i in range(sigma.n) if q >> hyper.eta[i] & 1
-        )
+        k_mask = eta.preimage(q)
         if sigma.saturation(k_mask) != k_mask:
             raise CheckFailed("compact preimage is not saturated in the model")
         e_set(model, k_mask)  # display vs brute scan compared internally
@@ -375,7 +364,7 @@ def _split_equation(
         name + "/model", fam_sigma, lifted | ideals, sigma.labels_of_mask
     )
     traces = {
-        _unlift(b & model.max_mask, incl)
+        incl.preimage(b)
         for b in fam_sigma
         if b & model.max_mask
     }
@@ -426,7 +415,7 @@ def _eq2_for(model, g_members: tuple[int, ...], tag: str):
         f"EQ2[{tag}]/hyper", kf_y, closed_lifts | ideal_images,
         lambda m: str(sorted(bits.indices_of(m))),
     )
-    traces = {_unlift(a & up_mask, incl_up) for a in kf_y if a & up_mask}
+    traces = {incl_up.preimage(a) for a in kf_y if a & up_mask}
     second = _verdict(
         f"EQ2[{tag}]/up-part", kf_up, traces,
         lambda m: str(sorted(bits.indices_of(m))),

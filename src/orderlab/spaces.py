@@ -1,19 +1,20 @@
-"""Finite topological spaces with explicit open families.
+"""Finite topological spaces, stored as their specialization preorder.
 
-A `FinSpace` stores every open set as a bitmask.  Construction validates the
-closure laws (binary union, binary intersection, empty and full member)
-through the Alexandrov law: the open family must coincide with the family
-of all up-sets of its own specialization preorder, which is closed under
-both operations.  That law is what makes the fast closure path exact; the
-definitional paths stay available and are cross-checked by the oracle
-harness.  Family scans run on one path at every size, over the bit-sliced
-view of `bits.bit_slices` (one int per point, one bit per member); a space
-caches the slices of its opens and of its closed sets.  Saturation is
-still the intersection of all open supersets, taken on the open slices in
-O(n) int operations instead of a scan of every open.  Compactness is
-certified for every saturated set by the minimal-neighbourhood cover, and
-on spaces with at most 12 opens also by a scan of every open subfamily,
-run once per space for all candidates at once.
+A finite space is Alexandrov: its opens are exactly the up-sets of its
+specialization preorder, and `spec_up[x]` is the minimal open
+neighbourhood of the point x.  A `FinSpace` stores its labels and
+`spec_up` only; the opens (enumerated by `_preorder_up_sets`), the closed
+sets, their bit-sliced views (`bits.bit_slices`: one int per point, one
+bit per member) and `spec_down` are derived on first use.  Derived spaces
+(Scott spaces, subspaces, maximal-point spaces, hyperspaces) are built
+from their preorder.  `make_space` validates an open family given from
+outside: it checks the closure laws, builds the space from the minimal
+neighbourhoods, and compares the enumerated opens with the family.
+Saturation is still the intersection of all open supersets, taken on the
+open slices in O(n) int operations.  Compactness is certified for every
+saturated set by the minimal-neighbourhood cover, and on spaces with at
+most 12 opens also by a scan of every open subfamily, run once per space
+for all candidates at once.
 """
 
 from __future__ import annotations
@@ -34,13 +35,41 @@ from .errors import (
     NotT0,
     UnknownLabel,
 )
-from .posets import FinPoset, down_sets as poset_down_sets
+from .posets import FinPoset, check_preorder
+
+
+def _preorder_up_sets(spec_up: tuple[int, ...]) -> tuple[int, ...]:
+    """All up-sets of a preorder given by its up-masks, in canonical order.
+
+    Depth first, the lowest undecided point is decided both ways: taking
+    it takes its up-set, and leaving it out leaves out its down-set.  The
+    taken part stays an up-set and the left-out part a down-set, so every
+    leaf is an up-set, and each up-set is reached exactly once.
+    """
+    spec_down = bits.bit_slices(spec_up, len(spec_up))
+    out = []
+    stack = [(0, (1 << len(spec_up)) - 1)]
+    while stack:
+        taken, undecided = stack.pop()
+        if not undecided:
+            out.append(taken)
+            continue
+        x = (undecided & -undecided).bit_length() - 1
+        stack.append((taken | spec_up[x], undecided & ~spec_up[x]))
+        stack.append((taken, undecided & ~spec_down[x]))
+    return bits.canon(out)
 
 
 @dataclass(frozen=True)
 class FinSpace:
+    """A finite space as its specialization preorder: `spec_up[x]` has bit
+    y set when x <= y, i.e. when every open holding x holds y."""
+
     labels: tuple[str, ...]
-    opens: tuple[int, ...]
+    spec_up: tuple[int, ...]
+
+    def __post_init__(self):
+        check_preorder(self.labels, self.spec_up)
 
     @property
     def n(self) -> int:
@@ -49,6 +78,10 @@ class FinSpace:
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
+
+    @cached_property
+    def opens(self) -> tuple[int, ...]:
+        return _preorder_up_sets(self.spec_up)
 
     @cached_property
     def open_set(self) -> frozenset:
@@ -89,22 +122,7 @@ class FinSpace:
     @cached_property
     def spec_down(self) -> tuple[int, ...]:
         """spec_down[x] = cl{x}; x <= y in specialization iff x in cl{y}."""
-        out = []
-        for x in range(self.n):
-            acc = self.full_mask
-            for c in self.closed:
-                if c >> x & 1:
-                    acc &= c
-            out.append(acc)
-        return tuple(out)
-
-    @cached_property
-    def spec_up(self) -> tuple[int, ...]:
-        up = [0] * self.n
-        for y in range(self.n):
-            for x in bits.indices_of(self.spec_down[y]):
-                up[x] |= 1 << y
-        return tuple(up)
+        return bits.bit_slices(self.spec_up, self.n)
 
     @cached_property
     def t0_witness(self):
@@ -134,7 +152,7 @@ class FinSpace:
         return tuple(self.labels[i] for i in bits.indices_of(mask))
 
     def closure(self, mask: int) -> int:
-        """Smallest closed superset (fast path via the Alexandrov law)."""
+        """Smallest closed superset (fast path: the union of point closures)."""
         out = 0
         for i in bits.indices_of(mask):
             out |= self.spec_down[i]
@@ -165,43 +183,6 @@ class FinSpace:
         return out
 
 
-def _quotient_poset(spec_up: tuple[int, ...]) -> tuple[FinPoset, tuple[int, ...]]:
-    """T0 quotient of a specialization preorder, plus each point's class mask."""
-    reps: list[int] = []
-    key_to_class: dict[int, int] = {}
-    class_masks: list[int] = []
-    for x, key in enumerate(spec_up):
-        if key not in key_to_class:
-            key_to_class[key] = len(reps)
-            reps.append(x)
-            class_masks.append(0)
-        class_masks[key_to_class[key]] |= 1 << x
-    k = len(reps)
-    up = []
-    for ci, rep in enumerate(reps):
-        m = 0
-        for cj, other in enumerate(reps):
-            if spec_up[rep] >> other & 1:
-                m |= 1 << cj
-        up.append(m)
-    quot = FinPoset(tuple(f"c{i}" for i in range(k)), tuple(up))
-    return quot, tuple(class_masks)
-
-
-def _preorder_up_sets(spec_up: tuple[int, ...]) -> tuple[int, ...]:
-    """All up-closed subsets of a preorder, via its T0 quotient's ideals."""
-    quot, class_masks = _quotient_poset(spec_up)
-    full = (1 << quot.n) - 1
-    out = []
-    for ideal in poset_down_sets(quot):
-        up_q = full & ~ideal
-        m = 0
-        for ci in bits.indices_of(up_q):
-            m |= class_masks[ci]
-        out.append(m)
-    return bits.canon(out)
-
-
 def _closure_witness(labels, masks: tuple[int, ...]) -> None:
     """Raise for the first pair, in `combinations` order, whose union or
     intersection is missing from the family."""
@@ -219,17 +200,18 @@ def _closure_witness(labels, masks: tuple[int, ...]) -> None:
 
 
 def make_space(labels, opens) -> FinSpace:
-    """Build a finite space from labels and opens (label lists or masks).
+    """Validate an open family given from outside (label lists or masks).
 
-    After the empty/full check, a family is accepted exactly when it equals
-    the up-set family of its own specialization preorder; those up-sets are
-    closed under union and intersection, so this proves the closure laws.
-    Every member is such an up-set, so the equality holds exactly when
-    joining any member with any point's minimal neighbourhood stays in the
-    family (O(k*n)); the up-sets are then enumerated and compared as well.
-    The enumeration can be exponential in n, so it never runs on a family
-    that fails the join test: that family goes to the pairwise scan, which
-    names the first failing pair in `combinations` order.
+    After the empty/full check, each point's minimal neighbourhood is the
+    intersection of the members holding it.  A family is a topology
+    exactly when joining any member with any minimal neighbourhood stays
+    in the family (O(k*n)): the family is then the up-set family of the
+    neighbourhoods' preorder, which is closed under union and
+    intersection.  A family failing that test goes to the pairwise scan,
+    which names the first failing pair in `combinations` order; the
+    up-sets, which can be exponentially many, are never enumerated for
+    it.  Otherwise the space is built from the neighbourhoods and its
+    enumerated opens must equal the family.
     """
     labels = tuple(labels)
     seen = set()
@@ -252,23 +234,21 @@ def make_space(labels, opens) -> FinSpace:
             masks.append(m)
     canon_masks = bits.canon(masks)
     fam = frozenset(canon_masks)
+    full = (1 << len(labels)) - 1
     if 0 not in fam:
         raise MissingEmptyOrFull("empty")
-    if (1 << len(labels)) - 1 not in fam:
+    if full not in fam:
         raise MissingEmptyOrFull("full")
-    space = FinSpace(labels, canon_masks)
-    if any(u | v not in fam for v in space.spec_up for u in canon_masks):
+    nbhd = [full] * len(labels)
+    for u in canon_masks:
+        for x in bits.indices_of(u & full):
+            nbhd[x] &= u
+    if any(u | v not in fam for v in nbhd for u in canon_masks):
         _closure_witness(labels, canon_masks)
         raise CheckFailed("family is not Alexandrov, yet every pair closes")
-    if _preorder_up_sets(space.spec_up) != space.opens:
+    space = FinSpace(labels, tuple(nbhd))
+    if space.opens != canon_masks:
         raise CheckFailed("Alexandrov law: opens differ from specialization up-sets")
-    for x in range(space.n):
-        nbhd = space.full_mask
-        for u in space.opens:
-            if u >> x & 1:
-                nbhd &= u
-        if nbhd != space.spec_up[x]:
-            raise CheckFailed("minimal neighborhood differs from up-set", x)
     return space
 
 
@@ -281,12 +261,7 @@ def specialization_order(space: FinSpace) -> FinPoset:
 
 def space_from_poset(poset: FinPoset) -> FinSpace:
     """Alexandrov space of a poset: opens are exactly the up-sets."""
-    from .posets import up_sets
-
-    space = make_space(poset.labels, up_sets(poset))
-    if space.spec_up != poset.up:
-        raise CheckFailed("specialization of up-set space differs from the poset")
-    return space
+    return FinSpace(poset.labels, poset.up)
 
 
 @dataclass(frozen=True)
@@ -363,7 +338,7 @@ def continuous_maps(source: FinSpace, target: FinSpace, budget: int = 1_000_000)
     """All continuous maps, enumerated exhaustively.
 
     Candidates are prefiltered by specialization monotonicity (equivalent to
-    continuity here by the validated Alexandrov law); every accepted map is
+    continuity on Alexandrov spaces); every accepted map is
     still validated definitionally by `ContinuousMap`.
     """
     total = target.n ** source.n if source.n else 1
@@ -430,7 +405,7 @@ def irreducible_closed_sets(space: FinSpace) -> tuple[int, ...]:
 def _neighbourhood_cover(space: FinSpace, mask: int) -> bool:
     """Compactness route for every size: the minimal neighbourhoods of the
     points of `mask` are open and cover it, and every open cover refines
-    this finite one (by the validated minimal-neighbourhood law)."""
+    this finite one (an open holding x holds its minimal neighbourhood)."""
     cover = [space.spec_up[x] for x in bits.indices_of(mask)]
     union = 0
     for u in cover:
@@ -483,15 +458,16 @@ def _subfamily_scan_failures(space: FinSpace, candidates) -> int:
 def compact_saturated_sets(space: FinSpace) -> tuple[int, ...]:
     """All nonempty compact saturated subsets (the empty set is excluded).
 
-    Saturated candidates come from the up-set family of the specialization
-    preorder; each is checked definitionally as an intersection of opens
-    (`FinSpace.saturation`, on the open slices).  Compactness runs through
-    the minimal-neighbourhood cover for every candidate and, on spaces
-    with at most 12 opens, through `_subfamily_scan_failures`, which
-    checks every open subfamily against every candidate in one pass per
-    space.  The first failing candidate in up-set order is raised.
+    The saturated sets are the up-sets of the specialization preorder,
+    i.e. the opens; each nonempty one is checked definitionally as an
+    intersection of opens (`FinSpace.saturation`, on the open slices).
+    Compactness runs through the minimal-neighbourhood cover for every
+    candidate and, on spaces with at most 12 opens, through
+    `_subfamily_scan_failures`, which checks every open subfamily against
+    every candidate in one pass per space.  The first failing candidate
+    in up-set order is raised.
     """
-    candidates = [s for s in _preorder_up_sets(space.spec_up) if s]
+    candidates = [s for s in space.opens if s]
     scan_failures = (
         _subfamily_scan_failures(space, candidates) if len(space.opens) <= 12 else 0
     )
@@ -519,17 +495,24 @@ def is_sober(space: FinSpace):
 
 
 def subspace(space: FinSpace, mask: int) -> tuple[FinSpace, ContinuousMap]:
-    """Materialize the subspace on `mask` plus its inclusion map."""
+    """Materialize the subspace on `mask` plus its inclusion map.
+
+    The subspace is built from the restricted preorder; its opens must be
+    the relative topology, the traces of the ambient opens on `mask`.
+    """
     keep = bits.indices_of(mask)
     pos = {old: new for new, old in enumerate(keep)}
-    labels = tuple(space.labels[i] for i in keep)
-    rel = set()
-    for u in space.opens:
+
+    def restrict(u: int) -> int:
         m = 0
         for old in bits.indices_of(u & mask):
             m |= 1 << pos[old]
-        rel.add(m)
-    sub = make_space(labels, tuple(rel))
+        return m
+
+    labels = tuple(space.labels[i] for i in keep)
+    sub = FinSpace(labels, tuple(restrict(space.spec_up[i]) for i in keep))
+    if bits.canon(restrict(u) for u in space.opens) != sub.opens:
+        raise CheckFailed("relative topology differs from the restricted preorder")
     incl = ContinuousMap(sub, space, keep)
     return sub, incl
 
@@ -580,9 +563,9 @@ def ph_space(base: FinSpace, members: tuple[int, ...]) -> HyperSpace:
     """Lower-Vietoris space on a family of nonempty irreducible closed sets.
 
     The topology is generated from the diamond subbase: on a finite set
-    its opens are the up-sets of the preorder in which the up-set of
-    member i is the intersection of the subbasic sets containing i.  It is
-    then verified: its closed sets must be exactly the boxed base-closed
+    it is the space of the preorder in which the up-set of member i is
+    the intersection of the subbasic sets containing i.  It is then
+    verified: its closed sets must be exactly the boxed base-closed
     sets, and the specialization order must be inclusion of members.  When
     the family contains every point closure, the unit x -> cl{x} is
     attached and checked to be a topological and order embedding (for T0
@@ -611,7 +594,7 @@ def ph_space(base: FinSpace, members: tuple[int, ...]) -> HyperSpace:
             if d >> i & 1:
                 acc &= d
         nbhd.append(acc)
-    space = make_space(labels, _preorder_up_sets(tuple(nbhd)))
+    space = FinSpace(labels, tuple(nbhd))
     expected_closed = set()
     for c in base.closed:
         hit = 0

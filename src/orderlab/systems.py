@@ -21,6 +21,8 @@ marker, and the known implication arrows re-validated on every panel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 from . import bits
 from .cofinite import (
@@ -203,11 +205,14 @@ DISTINCTNESS = {
 }
 
 
-def verify_distinctness_registry() -> dict:
+@lru_cache(maxsize=1)
+def verify_distinctness_registry() -> MappingProxyType:
     """Recompute every machine-graded separation on the cofinite line.
 
-    Returns the pair-to-grade mapping; a machine-graded pair whose
-    families no longer differ is an implementation bug.
+    Returns the pair-to-grade mapping, read-only; a machine-graded pair
+    whose families no longer differ is an implementation bug.  The
+    separations do not depend on any input, so they are computed once per
+    process and every caller shares the one mapping.
     """
     out = {}
     for pair, (grade, _note) in DISTINCTNESS.items():
@@ -220,7 +225,7 @@ def verify_distinctness_registry() -> dict:
             if hv[1] == gv[1]:
                 raise CheckFailed("machine separation failed", (h, g))
         out[(h, g)] = grade
-    return out
+    return MappingProxyType(out)
 
 
 def _matrix(x, starred: bool):
@@ -531,10 +536,7 @@ def dcpo_model_determined_check(
             raise CheckFailed(
                 "closure left the model family", sigma.labels_of_mask(closed)
             )
-        back = bits.mask_of(
-            t for t in range(maxsub.n) if closed >> incl.graph[t] & 1
-        )
-        if back != a:
+        if incl.preimage(closed) != a:
             raise CheckFailed("closure trace differs from its source",
                               maxsub.labels_of_mask(a))
         j_image |= 1 << hyper.member_index(closed)

@@ -124,3 +124,38 @@ def test_single_set_sample_catches_a_dropped_member(monkeypatch):
             kf_sets(scott_space(VEE))
     finally:
         kf_sets.cache_clear()
+
+
+def test_two_member_scan_compares_nested_sets(monkeypatch):
+    # the Sierpinski space's compact saturated sets {1} and {0,1} nest
+    real = families._minimal_meeting
+    compared = []
+
+    def recording(space, members):
+        if len(members) == 2:
+            compared.append(tuple(members))
+        return real(space, members)
+
+    monkeypatch.setattr(families, "_minimal_meeting", recording)
+    kf_sets.cache_clear()
+    try:
+        kf_sets(SIERPINSKI)
+    finally:
+        kf_sets.cache_clear()
+    assert compared == [(0b11, 0b10)]
+
+
+def test_two_member_scan_catches_a_dropped_member(monkeypatch):
+    real = families._minimal_meeting
+
+    def dropping(space, members):
+        found = real(space, members)
+        return found[1:] if len(members) == 2 else found
+
+    monkeypatch.setattr(families, "_minimal_meeting", dropping)
+    kf_sets.cache_clear()
+    try:
+        with pytest.raises(CheckFailed, match="two-member scan disagrees"):
+            kf_sets(SIERPINSKI)
+    finally:
+        kf_sets.cache_clear()

@@ -19,10 +19,11 @@ from orderlab.errors import (
     NotClosedUnderIntersection,
     NotClosedUnderUnion,
 )
-from orderlab.families import _minimal_meeting, kf_sets, wd_status
+from orderlab.families import _m_single_fast, _minimal_meeting, kf_sets, wd_status
 from orderlab.generate import derive_seed, generate_poset
 from orderlab.posets import (
     bounded_complete_oracle,
+    directed_subsets,
     down_sets,
     is_bounded_complete,
     is_directed,
@@ -32,6 +33,7 @@ from orderlab.posets import (
 from orderlab.report import analyze_poset, canonical_json
 from orderlab.scott import scott_space
 from orderlab.spaces import (
+    FinSpace,
     compact_saturated_sets,
     irreducible_closed_sets,
     make_space,
@@ -57,9 +59,9 @@ def posets(draw, max_n=5):
 
 
 @st.composite
-def alexandrov_spaces(draw, max_n=5):
-    """The space of up-sets of a random preorder (T0 or not), with the
-    up-sets listed by brute force."""
+def preorders(draw, max_n=5):
+    """Up-masks of a random preorder (T0 or not): random pairs, closed
+    reflexively and transitively."""
     n = draw(st.integers(min_value=1, max_value=max_n))
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                           max_size=2 * n))
@@ -67,9 +69,20 @@ def alexandrov_spaces(draw, max_n=5):
     for _ in range(n):
         for a, b in pairs:
             up[a] |= up[b]
-    opens = [m for m in range(1 << n)
-             if all(not m >> a & 1 or up[a] & ~m == 0 for a in range(n))]
-    return make_space(tuple(f"e{i}" for i in range(n)), opens)
+    return tuple(up)
+
+
+def brute_up_sets(up):
+    return bits.canon(m for m in range(1 << len(up))
+                      if all(not m >> a & 1 or up[a] & ~m == 0 for a in range(len(up))))
+
+
+def alexandrov_spaces():
+    """The space of up-sets of a random preorder, with the up-sets listed
+    by brute force and validated by `make_space`."""
+    return preorders().map(
+        lambda up: make_space(tuple(f"e{i}" for i in range(len(up))), brute_up_sets(up))
+    )
 
 
 def finite_spaces():
@@ -156,6 +169,41 @@ def test_saturation_is_the_intersection_of_open_supersets(space):
             if bits.is_subset(mask, u):
                 expected &= u
         assert space.saturation(mask) == expected
+
+
+@given(preorders())
+@SMALL
+def test_space_views_derive_from_the_preorder(up):
+    space = FinSpace(tuple(f"e{i}" for i in range(len(up))), up)
+    assert space.opens == brute_up_sets(up)
+    assert space.closed == bits.canon(space.full_mask ^ u for u in space.opens)
+    for x in range(space.n):
+        assert space.spec_down[x] == bits.mask_of(
+            y for y in range(space.n) if up[y] >> x & 1
+        )
+        nbhd = space.full_mask
+        for u in space.opens:
+            if u >> x & 1:
+                nbhd &= u
+        assert nbhd == up[x]
+
+
+@given(finite_spaces())
+@SMALL
+def test_single_set_scan_and_meeting_family_on_any_finite_space(space):
+    # finite_spaces() yields non-T0 spaces too: minimal points are taken
+    # up to the preorder, and every finite space has KF = Sc
+    for k in compact_saturated_sets(space):
+        assert _m_single_fast(space, k) == _minimal_meeting(space, (k,))
+    assert kf_sets(space) == point_closures(space)
+
+
+@given(posets())
+@SMALL
+def test_directed_subsets_are_exactly_the_directed_sets(poset):
+    listed = [d for d, _ in directed_subsets(poset)]
+    assert len(set(listed)) == len(listed)
+    assert set(listed) == {m for m in range(1, 1 << poset.n) if is_directed(poset, m)}
 
 
 @given(finite_spaces())

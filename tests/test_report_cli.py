@@ -361,6 +361,18 @@ def test_cli_input_errors(instances, capsys):
     capsys.readouterr()
 
 
+def test_cli_non_t0_space(instances, capsys):
+    # the classifier needs a T0 carrier; the reflections take any space
+    assert main(["analyze", "--space", instances["indiscrete"]]) == 2
+    assert main(["classify", "--space", instances["indiscrete"]]) == 2
+    capsys.readouterr()
+    for command in ("sobrify", "wfreflect"):
+        assert main([command, "--space", instances["indiscrete"]]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["members"] == [["x", "y"]]
+        assert payload["eta"] == {"x": "{x,y}", "y": "{x,y}"}
+
+
 def test_cli_exit_codes_one_and_three(instances, capsys):
     # a 61-element carrier exhausts the mask budget
     assert main(["analyze", "--poset", instances["huge"]]) == 3

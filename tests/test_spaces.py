@@ -59,6 +59,17 @@ def test_make_space_names_a_witness_without_enumerating_up_sets(monkeypatch):
     assert info.value.pair == (("p0",), ("p1",))
 
 
+def test_space_is_validated_as_a_preorder():
+    with pytest.raises(CheckFailed, match="reflexive"):
+        spaces.FinSpace(("a", "b"), (0b11, 0b01))
+    with pytest.raises(CheckFailed, match="transitive"):
+        spaces.FinSpace(("a", "b", "c"), (0b011, 0b110, 0b100))
+    with pytest.raises(CheckFailed, match="one up-mask per label"):
+        spaces.FinSpace(("a", "b"), (0b01,))
+    # a preorder need not be antisymmetric: the indiscrete space
+    assert spaces.FinSpace(("a", "b"), (0b11, 0b11)).opens == (0, 0b11)
+
+
 def test_sierpinski_structure():
     s = SIERPINSKI
     assert s.opens == (0, 2, 3)
@@ -174,15 +185,16 @@ def test_ph_space_rejects_non_irreducible_members():
 
 
 def test_compact_saturated_sets_rejects_a_non_saturated_candidate(monkeypatch):
-    real = spaces._preorder_up_sets
-    # {0} is closed in the Sierpinski space: its saturation is the whole space
-    monkeypatch.setattr(
-        spaces, "_preorder_up_sets", lambda spec_up: bits.canon(real(spec_up) + (0b01,))
-    )
+    # {0} is closed in the Sierpinski space: its saturation is the whole
+    # space.  A fresh copy keeps its true open slices, which the saturation
+    # reads, but lists {0} among its opens, which are the candidates.
+    space = spaces.FinSpace(SIERPINSKI.labels, SIERPINSKI.spec_up)
+    assert space.open_slices == SIERPINSKI.open_slices
+    monkeypatch.setitem(vars(space), "opens", bits.canon(space.opens + (0b01,)))
     compact_saturated_sets.cache_clear()
     try:
         with pytest.raises(CheckFailed, match="not an intersection of opens") as info:
-            compact_saturated_sets(SIERPINSKI)
+            compact_saturated_sets(space)
     finally:
         compact_saturated_sets.cache_clear()
     assert info.value.witness == 0b01
