@@ -30,6 +30,7 @@ from .report import (
     analyze_space,
     canonical_json,
     oracle_search,
+    panel_payload,
     parse_which,
     run_suite,
 )
@@ -210,15 +211,7 @@ def _cmd_classify(args) -> int:
     kind, value = _one_input(args)
     if kind == "poset":
         raise InputError("classify takes --space or --builtin")
-    panel = classify(value)
-    payload = {
-        "space": panel.space_name,
-        "flags": {
-            f.name: {"value": f.value, "witness": f.witness}
-            for f in panel.flags
-        },
-    }
-    _write(canonical_json(payload), args.out)
+    _write(canonical_json(panel_payload(classify(value))), args.out)
     return 0
 
 

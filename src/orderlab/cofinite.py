@@ -565,11 +565,6 @@ class Window:
     points: frozenset
     tail: bool
 
-    def as_coset(self) -> CoSet:
-        if self.tail:
-            return cofin(*(set(range(self.n)) - self.points))
-        return fin(*self.points)
-
 
 def _to_window(s: CoSet, n: int) -> Window:
     if any(x >= n for x in s.support):

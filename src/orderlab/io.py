@@ -28,6 +28,13 @@ def poset_to_json(poset: FinPoset) -> dict:
     }
 
 
+def _labels(value, what: str) -> list:
+    """`value` itself when it is a list of string labels."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise InputError(f"{what} must be a list of string labels")
+    return value
+
+
 def poset_from_json(data) -> FinPoset:
     if not isinstance(data, dict):
         raise InputError("poset document must be a JSON object")
@@ -36,15 +43,14 @@ def poset_from_json(data) -> FinPoset:
         leq = data["leq"]
     except (KeyError, TypeError):
         raise InputError('poset document needs "elements" and "leq"') from None
-    if not isinstance(elements, list) or not all(
-        isinstance(e, str) for e in elements
-    ):
-        raise InputError('"elements" must be a list of strings')
+    elements = _labels(elements, '"elements"')
+    if not isinstance(leq, list):
+        raise InputError('"leq" must be a list of [a, b] pairs')
     pairs = []
     for entry in leq:
-        if not (isinstance(entry, list) and len(entry) == 2):
+        if len(_labels(entry, '"leq" entries')) != 2:
             raise InputError('"leq" entries must be [a, b] pairs')
-        pairs.append((entry[0], entry[1]))
+        pairs.append(tuple(entry))
     return validate_poset(tuple(elements), tuple(pairs))
 
 
@@ -63,17 +69,14 @@ def space_from_json(data) -> FinSpace:
         opens = data["opens"]
     except (KeyError, TypeError):
         raise InputError('space document needs "points" and "opens"') from None
-    if not isinstance(points, list) or not all(
-        isinstance(p, str) for p in points
-    ):
-        raise InputError('"points" must be a list of strings')
+    points = _labels(points, '"points"')
+    if not isinstance(opens, list):
+        raise InputError('"opens" must be a list of point lists')
     index = {p: i for i, p in enumerate(points)}
     masks = []
     for u in opens:
-        if not isinstance(u, list):
-            raise InputError('"opens" entries must be point lists')
         m = 0
-        for p in u:
+        for p in _labels(u, '"opens" entries'):
             if p not in index:
                 raise InputError(f"open set names unknown point {p!r}")
             m |= 1 << index[p]

@@ -70,9 +70,6 @@ class FinPoset:
         except ValueError:
             raise UnknownLabel(label) from None
 
-    def mask_of_labels(self, labels) -> int:
-        return bits.mask_of(self.index(l) for l in labels)
-
     def labels_of_mask(self, mask: int) -> tuple[str, ...]:
         return tuple(self.labels[i] for i in bits.indices_of(mask))
 

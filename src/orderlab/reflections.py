@@ -7,7 +7,10 @@ reflection.  Between the hyperspaces of a pair model and of its maximal
 point space sits the closure embedding ``j``, and the decomposition
 equations transport each closed-set family across it.  Everything here
 is verified on explicit finite instances: both sides of every equation
-are computed independently and compared exactly.
+are computed independently and compared exactly.  The up-part of a
+hyperspace, the members above an embedded maximal point, is computed in
+one place (`_eta_max_up`) by two routes that are compared there, and
+every runner that needs it reads it from there.
 """
 
 from __future__ import annotations
@@ -172,6 +175,25 @@ def shen_iterate(
 
 
 # ---------------------------------------------------------------------------
+# the up-part of a hyperspace over a pair model
+
+
+def _eta_max_up(model: XiZhaoPoset, hyper: HyperSpace) -> int:
+    """The members above an embedded maximal point, up(eta(Max)), as a mask.
+
+    Computed as the up-closure of the images of the maximal pairs in the
+    hyperspace's specialization order, and again as the members meeting
+    the maximal part; the two routes must agree.
+    """
+    up = 0
+    for t in bits.indices_of(model.max_mask):
+        up |= hyper.space.spec_up[hyper.eta[t]]
+    if up != hyper.diamond(model.max_mask):
+        raise CheckFailed("up-part routes disagree in the hyperspace")
+    return up
+
+
+# ---------------------------------------------------------------------------
 # the closure embedding j between the two hyperspaces
 
 
@@ -226,16 +248,7 @@ def j_embedding_check(poset: FinPoset, kind: str = "sober") -> JEmbeddingReport:
         for t in range(maxsub.n)
     )
     image_mask = jmap.image_mask
-    meets_max = 0
-    for i, member in enumerate(upper.members):
-        if member & model.max_mask:
-            meets_max |= 1 << i
-    up_of_eta_max = 0
-    for t in range(maxsub.n):
-        up_of_eta_max |= upper.space.spec_up[upper.eta[incl.graph[t]]]
-    if meets_max != up_of_eta_max:
-        raise CheckFailed("image-law routes disagree")
-    image_law = image_mask == meets_max
+    image_law = image_mask == _eta_max_up(model, upper)
     inverse_law = all(
         lower.members[idx] == incl.preimage(upper.members[jmap.graph[idx]])
         for idx in range(lower.space.n)
@@ -291,9 +304,7 @@ def pair_conditions_check(poset: FinPoset, members: tuple[int, ...]) -> PairWitn
     eta = hyper.eta_map
     p1 = is_embedding(eta)
 
-    up_part = 0
-    for t in bits.indices_of(model.max_mask):
-        up_part |= hyper.space.spec_up[hyper.eta[t]]
+    up_part = _eta_max_up(model, hyper)
     nonmax_image = bits.mask_of(hyper.eta[i] for i in bits.indices_of(model.nonmax_mask))
     covers = (up_part | nonmax_image) == hyper.space.full_mask
     image = hyper.eta_image_mask
@@ -378,13 +389,7 @@ def _eq0(model) -> EquationVerdict:
     sigma = model.sigma
     fam = irreducible_closed_sets(sigma)
     hyper = ph_space(sigma, fam)
-    up_mask = 0
-    for t in bits.indices_of(model.max_mask):
-        up_mask |= hyper.space.spec_up[hyper.eta[t]]
-    meets = {m for m in fam if m & model.max_mask}
-    ordered = {hyper.members[i] for i in bits.indices_of(up_mask)}
-    if meets != ordered:
-        raise CheckFailed("up-closure routes disagree in the hyperspace")
+    ordered = {hyper.members[i] for i in bits.indices_of(_eta_max_up(model, hyper))}
     eta_nonmax = {sigma.spec_down[i] for i in bits.indices_of(model.nonmax_mask)}
     return _verdict("EQ0", set(fam), ordered | eta_nonmax, sigma.labels_of_mask)
 
@@ -400,9 +405,7 @@ def _eq2_for(model, g_members: tuple[int, ...], tag: str):
     """
     sigma = model.sigma
     hyper = ph_space(sigma, g_members)
-    up_mask = 0
-    for t in bits.indices_of(model.max_mask):
-        up_mask |= hyper.space.spec_up[hyper.eta[t]]
+    up_mask = _eta_max_up(model, hyper)
     sub_up, incl_up = subspace(hyper.space, up_mask)
     kf_y = set(kf_sets(hyper.space))
     kf_up = set(kf_sets(sub_up))
@@ -562,6 +565,7 @@ def claim_embed2_check(poset: FinPoset) -> StagePairReport:
     lower = ph_space(maxsub, irreducible_closed_sets(maxsub))
     jreport = j_embedding_check(poset, "sober")
     jgraph = jreport.jmap.graph
+    up = _eta_max_up(model, upper)
 
     x_chain = [lower.eta_image_mask]
     y_chain = [upper.eta_image_mask]
@@ -583,17 +587,7 @@ def claim_embed2_check(poset: FinPoset) -> StagePairReport:
         x_mask = x_chain[min(step, len(x_chain) - 1)]
         y_mask = y_chain[min(step, len(y_chain) - 1)]
         j_image = bits.mask_of(jgraph[i] for i in bits.indices_of(x_mask))
-        up_in_stage = 0
-        for t in bits.indices_of(model.max_mask):
-            up_in_stage |= upper.space.spec_up[upper.eta[t]]
-        up_in_stage &= y_mask
-        meets = bits.mask_of(
-            i for i in bits.indices_of(y_mask)
-            if upper.members[i] & model.max_mask
-        )
-        if up_in_stage != meets:
-            raise CheckFailed("stage up-set routes disagree", step)
-        if j_image != up_in_stage:
+        if j_image != up & y_mask:
             raise CheckFailed("stage equation failed", step)
         stage_members = tuple(
             sorted(upper.members[i] for i in bits.indices_of(y_mask)),

@@ -25,7 +25,7 @@ from .cofinite import (
     sobrify_cofnat,
     wfreflect_cofnat,
 )
-from .errors import CheckFailed, InputError, OrderLabError
+from .errors import InputError, OrderLabError
 from .families import (
     FilteredFamily,
     family_members,
@@ -139,7 +139,7 @@ def _family_payload(space: FinSpace) -> dict:
     return payload
 
 
-def _panel_payload(panel) -> dict:
+def panel_payload(panel) -> dict:
     return {
         "space": panel.space_name,
         "flags": {
@@ -147,6 +147,29 @@ def _panel_payload(panel) -> dict:
             for f in panel.flags
         },
     }
+
+
+def _shen_payload(chain) -> dict:
+    return {
+        "index": chain.stabilization_index,
+        "stage_sizes": [s.bit_count() for s in chain.stages],
+        "final_covers_sobrification": chain.stages[-1] == chain.ambient.full_mask,
+    }
+
+
+def _witness(report: dict, check: str, error: str, **extra) -> None:
+    report["witnesses"].append(
+        {"check": check, "error": error, **extra, "replay": report["input"]}
+    )
+
+
+def _guard(report: dict, name: str, thunk):
+    """Run one check; a failure becomes a witness instead of propagating."""
+    try:
+        return thunk()
+    except OrderLabError as exc:
+        _witness(report, name, str(exc))
+        return None
 
 
 _KEY_PAIRS = tuple(
@@ -163,14 +186,13 @@ def analyze_poset(poset: FinPoset, which: tuple[str, ...] = ALL_WHICH) -> dict:
     input errors; check failures are caught and recorded as witnesses
     so a FAIL report still serializes for replay.
     """
-    echo = {"kind": "poset", **poset_to_json(poset)}
     model = xizhao_model(poset)
     sigma = model.sigma
     maxsub, _incl = model.max_space
     report = {
         "schema": SCHEMA,
         "verdict": None,
-        "input": echo,
+        "input": {"kind": "poset", **poset_to_json(poset)},
         "model": {
             "size": model.poset.n,
             "elements": list(model.poset.labels),
@@ -179,28 +201,16 @@ def analyze_poset(poset: FinPoset, which: tuple[str, ...] = ALL_WHICH) -> dict:
             ),
         },
         "families": _family_payload(sigma),
-        "panel": _panel_payload(classify(sigma)),
+        "panel": panel_payload(classify(sigma)),
         "equations": [],
         "checks": {},
         "witnesses": [],
         "timing": None,
     }
-    failed = []
-
-    def guard(name, thunk):
-        try:
-            return thunk()
-        except (CheckFailed, OrderLabError) as exc:
-            failed.append(name)
-            report["witnesses"].append(
-                {"check": name, "error": str(exc), "replay": echo}
-            )
-            return None
-
     for name in which:
         if name not in EQUATION_WHICH:
             continue
-        verdicts = guard(name, lambda n=name: decomposition_check(poset, n))
+        verdicts = _guard(report, name, lambda n=name: decomposition_check(poset, n))
         for v in verdicts or ():
             report["equations"].append(
                 {
@@ -211,37 +221,28 @@ def analyze_poset(poset: FinPoset, which: tuple[str, ...] = ALL_WHICH) -> dict:
                 }
             )
             if not v.passed:
-                failed.append(v.name)
-                report["witnesses"].append(
-                    {"check": v.name, "error": "set equality failed",
-                     "diff": sorted(v.diff), "replay": echo}
-                )
+                _witness(report, v.name, "set equality failed", diff=sorted(v.diff))
 
     if "pair" in which:
         out = {}
         for tag in ("Sc", "Irr"):
             members = family_members(tag, sigma)
-            w = guard(f"pair[{tag}]",
-                      lambda m=members: pair_conditions_check(poset, m))
+            w = _guard(report, f"pair[{tag}]",
+                       lambda m=members: pair_conditions_check(poset, m))
             if w is not None:
-                ok = w.p1 and w.p2 and w.p3
                 out[tag] = {
                     "p1": w.p1, "p2": w.p2, "p3": w.p3,
                     "compact_checked": w.compact_preimages_checked,
                 }
-                if not ok:
-                    failed.append(f"pair[{tag}]")
-                    report["witnesses"].append(
-                        {"check": f"pair[{tag}]", "error": str(w.witness),
-                         "replay": echo}
-                    )
+                if not (w.p1 and w.p2 and w.p3):
+                    _witness(report, f"pair[{tag}]", str(w.witness))
         report["checks"]["pair"] = out
 
     if "embed" in which:
         out = {}
         for kind in ("sober", "wf"):
-            r = guard(f"embed[{kind}]",
-                      lambda k=kind: j_embedding_check(poset, k))
+            r = _guard(report, f"embed[{kind}]",
+                       lambda k=kind: j_embedding_check(poset, k))
             if r is not None:
                 out[kind] = {
                     "embedding": r.embedding,
@@ -255,18 +256,13 @@ def analyze_poset(poset: FinPoset, which: tuple[str, ...] = ALL_WHICH) -> dict:
     if "shen" in which:
         out = {}
         for tag, space in (("max", maxsub), ("model", sigma)):
-            ch = guard(f"shen[{tag}]", lambda s=space: shen_iterate(s))
+            ch = _guard(report, f"shen[{tag}]", lambda s=space: shen_iterate(s))
             if ch is not None:
-                out[tag] = {
-                    "index": ch.stabilization_index,
-                    "stage_sizes": [s.bit_count() for s in ch.stages],
-                    "final_covers_sobrification":
-                        ch.stages[-1] == ch.ambient.full_mask,
-                }
+                out[tag] = _shen_payload(ch)
         report["checks"]["shen"] = out
 
     if "embed2" in which:
-        r = guard("embed2", lambda: claim_embed2_check(poset))
+        r = _guard(report, "embed2", lambda: claim_embed2_check(poset))
         if r is not None:
             report["checks"]["embed2"] = {
                 "x_index": r.x_index,
@@ -277,7 +273,8 @@ def analyze_poset(poset: FinPoset, which: tuple[str, ...] = ALL_WHICH) -> dict:
     if "key" in which:
         rows = []
         for h, g in _KEY_PAIRS:
-            v = guard(
+            v = _guard(
+                report,
                 f"key[{h},{g}]",
                 lambda a=h, b=g: proposition_key_check(
                     poset, SubsetSystemId(a), SubsetSystemId(b)
@@ -296,7 +293,7 @@ def analyze_poset(poset: FinPoset, which: tuple[str, ...] = ALL_WHICH) -> dict:
         report["checks"]["key"] = rows
 
     if "agreement" in which:
-        r = guard("agreement", lambda: classifier_agreement(poset))
+        r = _guard(report, "agreement", lambda: classifier_agreement(poset))
         if r is not None:
             report["checks"]["agreement"] = {
                 "compared": list(r.compared),
@@ -304,12 +301,12 @@ def analyze_poset(poset: FinPoset, which: tuple[str, ...] = ALL_WHICH) -> dict:
             }
 
     if "classify" in which:
-        guard("max-homeo", lambda: max_homeo_check(model))
+        _guard(report, "max-homeo", lambda: max_homeo_check(model))
         report["checks"]["classify"] = {
-            "max_panel": _panel_payload(classify(maxsub)),
+            "max_panel": panel_payload(classify(maxsub)),
         }
 
-    report["verdict"] = "FAIL" if failed else "PASS"
+    report["verdict"] = "FAIL" if report["witnesses"] else "PASS"
     return report
 
 
@@ -321,49 +318,31 @@ def analyze_space(space, which: tuple[str, ...] = ALL_WHICH) -> dict:
     """
     if isinstance(space, CofNat):
         return _analyze_cofnat()
-    echo = {"kind": "space", **space_to_json(space)}
     report = {
         "schema": SCHEMA,
         "verdict": None,
-        "input": echo,
+        "input": {"kind": "space", **space_to_json(space)},
         "families": _family_payload(space),
-        "panel": _panel_payload(classify(space)),
+        "panel": panel_payload(classify(space)),
         "checks": {},
         "witnesses": [],
         "timing": None,
     }
-    failed = []
-
-    def guard(name, thunk):
-        try:
-            return thunk()
-        except (CheckFailed, OrderLabError) as exc:
-            failed.append(name)
-            report["witnesses"].append(
-                {"check": name, "error": str(exc), "replay": echo}
-            )
-            return None
-
-    collapse = guard("collapse", lambda: finite_collapse_check(space))
+    collapse = _guard(report, "collapse", lambda: finite_collapse_check(space))
     if collapse is not None:
         report["checks"]["collapse"] = {
             name: "eta is a homeomorphism" for name in collapse
         }
-    sob = guard("sobrify", lambda: sobrification(space))
+    sob = _guard(report, "sobrify", lambda: sobrification(space))
     if sob is not None:
         report["checks"]["sobrify"] = {
             "points": sob.space.n,
             "members": [list(space.labels_of_mask(m)) for m in sob.members],
         }
-    ch = guard("shen", lambda: shen_iterate(space))
+    ch = _guard(report, "shen", lambda: shen_iterate(space))
     if ch is not None:
-        report["checks"]["shen"] = {
-            "index": ch.stabilization_index,
-            "stage_sizes": [s.bit_count() for s in ch.stages],
-            "final_covers_sobrification":
-                ch.stages[-1] == ch.ambient.full_mask,
-        }
-    report["verdict"] = "FAIL" if failed else "PASS"
+        report["checks"]["shen"] = _shen_payload(ch)
+    report["verdict"] = "FAIL" if report["witnesses"] else "PASS"
     return report
 
 
@@ -382,7 +361,7 @@ def _analyze_cofnat() -> dict:
                 {"status": v.status, "value": v.value.describe()})
             for k, v in data["families"].items()
         },
-        "panel": _panel_payload(panel),
+        "panel": panel_payload(panel),
         "checks": {
             "sobrify": {"added_points": list(sob.added_points)},
             "wfreflect": {"same_as_sobrification": same},

@@ -145,9 +145,6 @@ class FinSpace:
         except ValueError:
             raise UnknownLabel(label) from None
 
-    def mask_of_labels(self, labels) -> int:
-        return bits.mask_of(self.index(l) for l in labels)
-
     def labels_of_mask(self, mask: int) -> tuple[str, ...]:
         return tuple(self.labels[i] for i in bits.indices_of(mask))
 
@@ -296,14 +293,6 @@ class ContinuousMap:
     @property
     def image_mask(self) -> int:
         return self.image(self.source.full_mask)
-
-    def compose(self, other: "ContinuousMap") -> "ContinuousMap":
-        """self after other (other's target must be self's source)."""
-        if other.target != self.source:
-            raise CheckFailed("composition type mismatch")
-        return ContinuousMap(
-            other.source, self.target, tuple(self.graph[i] for i in other.graph)
-        )
 
 
 def is_injective(f: ContinuousMap) -> bool:

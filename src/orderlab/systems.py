@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
-from . import bits
 from .cofinite import (
     COFNAT,
     CofNat,
@@ -45,7 +44,7 @@ from .families import (
     wd_status,
 )
 from .posets import FinPoset
-from .reflections import PairWitness, pair_conditions_check
+from .reflections import PairWitness, _eta_max_up, pair_conditions_check
 from .spaces import (
     FinSpace,
     irreducible_closed_sets,
@@ -540,15 +539,7 @@ def dcpo_model_determined_check(
             raise CheckFailed("closure trace differs from its source",
                               maxsub.labels_of_mask(a))
         j_image |= 1 << hyper.member_index(closed)
-    meets = 0
-    for i, member in enumerate(hyper.members):
-        if member & model.max_mask:
-            meets |= 1 << i
-    up_route = 0
-    for t in bits.indices_of(model.max_mask):
-        up_route |= hyper.space.spec_up[hyper.eta[t]]
-    if meets != up_route:
-        raise CheckFailed("image-law routes disagree")
+    up_route = _eta_max_up(model, hyper)
     p4 = j_image == up_route
     witness = base.witness
     if not p4 and witness is None:

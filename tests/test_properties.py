@@ -34,6 +34,7 @@ from orderlab.report import analyze_poset, canonical_json
 from orderlab.scott import scott_space
 from orderlab.spaces import (
     FinSpace,
+    _preorder_up_sets,
     compact_saturated_sets,
     irreducible_closed_sets,
     make_space,
@@ -186,6 +187,26 @@ def test_space_views_derive_from_the_preorder(up):
             if u >> x & 1:
                 nbhd &= u
         assert nbhd == up[x]
+
+
+def up_set_leaves(up):
+    """The up-set enumerator's leaves, as reached, before `bits.canon`."""
+    leaves = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bits, "canon", lambda family: leaves.extend(family) or ())
+        _preorder_up_sets(up)
+    return sorted(leaves)
+
+
+def test_up_set_enumerator_reaches_each_up_set_once_on_a_chain():
+    # 2-point chain with the top at index 0: leaving out 0 must leave out 1 too
+    assert up_set_leaves((0b01, 0b11)) == [0b00, 0b01, 0b11]
+
+
+@given(preorders())
+@SMALL
+def test_up_set_enumerator_reaches_each_up_set_once(up):
+    assert up_set_leaves(up) == sorted(brute_up_sets(up))
 
 
 @given(finite_spaces())

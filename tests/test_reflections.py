@@ -1,8 +1,10 @@
 """Reflections, stage iteration, the closure embedding, and the equations."""
 
+import dataclasses
+
 import pytest
 
-from orderlab import bits
+from orderlab import bits, reflections, systems
 from orderlab.errors import (
     AmbientNotSober,
     BudgetExceeded,
@@ -24,7 +26,10 @@ from orderlab.reflections import (
     wf_reflection,
 )
 from orderlab.scott import scott_space
+from orderlab.report import analyze_poset
 from orderlab.spaces import (
+    FinSpace,
+    HyperSpace,
     is_homeomorphism,
     make_space,
     member_label,
@@ -184,3 +189,39 @@ def test_equations_over_corpus(small_corpus):
         for name in ("EQ0", "EQ1", "KFSET2", "EQ3"):
             for verdict in decomposition_check(poset, name):
                 assert verdict.passed, (poset.labels, verdict)
+
+
+class _MeetsDropsOne(HyperSpace):
+    def diamond(self, base_mask):
+        hit = super().diamond(base_mask)
+        return hit & (hit - 1)
+
+
+# each entry breaks one route of the up-part helper, leaving the other
+BROKEN_UP_PART_ROUTES = {
+    # the specialization order made indiscrete: everything is above eta(Max)
+    "order": lambda h: dataclasses.replace(
+        h, space=FinSpace(h.space.labels, (h.space.full_mask,) * h.space.n)
+    ),
+    # the members meeting Max lose one
+    "meets": lambda h: _MeetsDropsOne(h.space, h.base, h.members, h.eta),
+}
+
+
+@pytest.mark.parametrize("route", sorted(BROKEN_UP_PART_ROUTES))
+def test_a_broken_up_part_route_fails_every_runner(monkeypatch, route):
+    real = reflections._eta_max_up
+
+    def broken(model, hyper):
+        return real(model, BROKEN_UP_PART_ROUTES[route](hyper))
+
+    monkeypatch.setattr(reflections, "_eta_max_up", broken)
+    monkeypatch.setattr(systems, "_eta_max_up", broken)
+    report = analyze_poset(VEE)
+    assert report["verdict"] == "FAIL"
+    errors = {w["check"]: w["error"] for w in report["witnesses"]}
+    for check in ("EQ0", "EQ2", "embed[sober]", "embed[wf]", "embed2",
+                  "pair[Sc]", "pair[Irr]"):
+        assert errors[check].endswith("up-part routes disagree in the hyperspace")
+    with pytest.raises(CheckFailed, match="up-part routes disagree"):
+        systems.dcpo_model_determined_check(systems.SC, VEE)

@@ -1,5 +1,6 @@
 """Serialization, reports, seeded corpus, oracle search, and the CLI."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -23,6 +24,7 @@ from orderlab.io import (
     space_to_json,
 )
 from orderlab.posets import is_bounded_complete
+from orderlab.scott import scott_space
 from orderlab.report import (
     ALL_WHICH,
     ORACLE_PATHS,
@@ -72,6 +74,9 @@ def test_malformed_documents():
         {"elements": ["a"]},
         {"elements": [1], "leq": []},
         {"elements": ["a"], "leq": [["a"]]},
+        {"elements": ["a"], "leq": 5},
+        {"elements": ["a"], "leq": None},
+        {"elements": ["a"], "leq": [[["a"], "a"]]},
     ):
         with pytest.raises(InputError):
             poset_from_json(bad)
@@ -80,6 +85,8 @@ def test_malformed_documents():
         {"points": ["a"]},
         {"points": ["a"], "opens": [["b"]]},
         {"points": ["a"], "opens": ["a"]},
+        {"points": ["a"], "opens": 5},
+        {"points": ["a"], "opens": [[["a"]]]},
     ):
         with pytest.raises(InputError):
             space_from_json(bad)
@@ -275,6 +282,21 @@ def test_suite_is_byte_deterministic():
     assert labels == ["CHAIN2", "VEE", "DIAMOND",
                       "trial/0", "trial/1", "trial/2", "trial/3"]
     assert all(json.loads(line)["verdict"] == "PASS" for line in first)
+
+
+# sha256 of the canonical bytes below: a change that keeps every report
+# keeps it, and one that changes a report must re-record it and say why
+PINNED_REPORT_SHA256 = "2ace4ffcd814795a3a177d76ccecd8ec7c11bb363774b82d0d01689418d5f925"
+
+
+def test_report_bytes_are_pinned():
+    cfg = RunConfig(seed=20260816, max_size=7, trials=10, which=ALL_WHICH)
+    doc = {
+        "suite": [[label, report] for label, report in run_suite(cfg)],
+        "diamond": analyze_space(scott_space(DIAMOND)),
+    }
+    digest = hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+    assert digest == PINNED_REPORT_SHA256
 
 
 # ---------------------------------------------------------------------------
