@@ -5,7 +5,7 @@ Four families of closed sets and where they sit
 Between the point closures S_c and the irreducible closed sets Irr of
 a T0 space sit two more families: KF (closed sets that are minimal
 among those meeting every member of some filtered family of compact
-saturated sets) and WD (determined by a two-sided squeeze).  All four
+saturated sets) and WD (fixed by a two-sided squeeze).  All four
 are sandwiched S_c <= KF, WD <= Irr, and each has a checked
 constructor here.
 """
@@ -40,11 +40,10 @@ sigma = scott_space(xizhao_model(VEE).poset)
 for fam in (sc_family(sigma), kf_family(sigma), irr_family(sigma)):
     print(f"{fam.role:4s}", [names(sigma, m) for m in fam.members])
 
-# WD comes back as an explicit status: on a finite T0 space the squeeze
-# always closes, so the status is determined and carries the value;
-# the lower and upper bounds are reported either way.
-status = wd_status(sigma)
-print("WD status:", status.status, "value:", [names(sigma, m) for m in status.value])
+# WD is never computed from its definition: it lies between KF and Irr,
+# and on a finite space those two bounds are equal, so WD is their
+# common value.  Bounds that differed would raise instead.
+print("WD  ", [names(sigma, m) for m in wd_status(sigma)])
 
 # Every family has a proper (whole-carrier-dropping) variant.  On the
 # two-point space with one nontrivial open the whole carrier is itself

@@ -219,19 +219,6 @@ IRR_COFNAT = SymClosedFamily(all_singletons=True, whole=True)
 
 
 @dataclass(frozen=True)
-class SymWdStatus:
-    status: str
-    value: SymClosedFamily | None
-    lower: SymClosedFamily
-    upper: SymClosedFamily
-    how: str
-
-    @property
-    def determined(self) -> bool:
-        return self.status == "DETERMINED"
-
-
-@dataclass(frozen=True)
 class SymFilteredFamily:
     """One of the two supported schemas of filtered compact families."""
 
@@ -344,19 +331,12 @@ def kf_cofnat() -> SymClosedFamily:
     return SymClosedFamily(all_singletons=True, whole=True)
 
 
-def wd_cofnat() -> SymWdStatus:
+def wd_cofnat() -> SymClosedFamily:
     """Squeeze: the meeting family already equals the irreducible family."""
-    kf = kf_cofnat()
     irr = irr_cofnat()
-    sc = sc_cofnat()
-    if kf == irr:
-        return SymWdStatus(
-            "DETERMINED", irr, kf, irr,
-            "squeeze: meeting family equals irreducible family",
-        )
-    if kf == sc:  # pragma: no cover - not reachable for this space
-        return SymWdStatus("DETERMINED", sc, kf, irr, "well-filtered collapse")
-    return SymWdStatus("BRACKET", None, kf, irr, "bounds do not meet")
+    if kf_cofnat() != irr:
+        raise CheckFailed("squeeze bounds differ: meeting family is not the irreducible family")
+    return irr
 
 
 def classify_cofnat() -> dict:
@@ -381,8 +361,8 @@ def classify_cofnat() -> dict:
         "sober": (irr == sc, "the whole line is irreducible with no generic point"),
         "well_filtered": (kf == sc, "the whole line is a minimal meeting set but not a point closure"),
         "rudin": (kf == irr, "meeting family equals irreducible family"),
-        "wd_space": (wd.determined and wd.value == irr, wd.how),
-        "wk_space": (wd.determined and kf == wd.value, "meeting family equals the squeezed family"),
+        "wd_space": (wd == irr, "squeeze: meeting family equals irreducible family"),
+        "wk_space": (kf == wd, "meeting family equals the squeezed family"),
         "weak_sober": (irr.starred() == sc.starred(), "proper irreducibles are exactly the singletons"),
         "weak_well_filtered": (kf.starred() == sc.starred(), "proper meeting sets are exactly the singletons"),
     }
@@ -514,13 +494,7 @@ def wfreflect_cofnat() -> tuple[CofnatSobrification, bool]:
     The squeezed family equals the irreducible family, so the hyperspace
     construction is run on the same members and yields the same space.
     """
-    wd = wd_cofnat()
-    if not wd.determined:
-        raise CheckFailed("squeeze left the family undetermined")
-    same = wd.value == irr_cofnat()
-    if not same:
-        raise CheckFailed("expected the squeezed family to equal the irreducible family")
-    return sobrify_cofnat(), same
+    return sobrify_cofnat(), wd_cofnat() == irr_cofnat()
 
 
 @dataclass(frozen=True)

@@ -114,10 +114,6 @@ class PreconditionViolated(InputError):
         super().__init__(f"precondition violated: {reason}")
 
 
-class WdNotDetermined(OrderLabError):
-    """A construction needed a determined WD family but only got a bracket."""
-
-
 class AmbientNotSober(InputError):
     def __init__(self, witness=None):
         super().__init__("ambient space for the stage iteration is not sober")

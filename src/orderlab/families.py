@@ -5,9 +5,9 @@ obtainable as minimal closed sets meeting every member of a filtered
 compact-saturated family, and the irreducible closed sets.  The
 image-closure family sits between the middle one and the irreducible
 family; it is never evaluated from its definition (which quantifies over
-all continuous maps into well-filtered spaces) but squeezed: when the
-bounds coincide the family is DETERMINED, otherwise an explicit BRACKET
-is reported and nothing more is claimed.
+all continuous maps into well-filtered spaces) but squeezed: on a finite
+space the two bounds coincide, so the family is their common value, and
+a gap between them raises.
 
 `family_members` is the one mapping from a kind name (Sc, Irr, KF, WD) to
 its family on a finite space; every runner that names a family by kind
@@ -21,12 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import bits
-from .errors import (
-    CheckFailed,
-    InvalidFamily,
-    PreconditionViolated,
-    WdNotDetermined,
-)
+from .errors import CheckFailed, InvalidFamily, PreconditionViolated
 from .spaces import (
     ContinuousMap,
     FinSpace,
@@ -90,30 +85,6 @@ class FilteredFamily:
             if all(bits.is_subset(m, other) for other in self.members):
                 return m
         raise CheckFailed("finite filtered family has no least member", self.members)
-
-
-@dataclass(frozen=True)
-class WdStatus:
-    status: str
-    value: tuple[int, ...] | None
-    lower: tuple[int, ...]
-    upper: tuple[int, ...]
-    how: str
-
-    @property
-    def determined(self) -> bool:
-        return self.status == "DETERMINED"
-
-    def starred(self, space: FinSpace) -> "WdStatus":
-        full = space.full_mask
-        drop = lambda fam: tuple(m for m in fam if m != full)
-        return WdStatus(
-            self.status,
-            drop(self.value) if self.value is not None else None,
-            drop(self.lower),
-            drop(self.upper),
-            self.how,
-        )
 
 
 def _minimal_meeting(space: FinSpace, members) -> tuple[int, ...]:
@@ -243,21 +214,17 @@ def kf_sets(space: FinSpace) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=4096)
-def wd_status(space: FinSpace) -> WdStatus:
-    """Squeeze the image-closure family between its proven bounds.
+def wd_status(space: FinSpace) -> tuple[int, ...]:
+    """The image-closure family, squeezed between its proven bounds.
 
-    DETERMINED when the meeting family equals the irreducible family
-    (squeeze from above) or the point closures (the well-filtered
-    collapse); otherwise an honest BRACKET of both bounds.
+    It contains the meeting family and lies inside the irreducible
+    family; on a finite space the two are equal, so it is their common
+    value.  Bounds that differ raise instead of being guessed between.
     """
-    kf = kf_sets(space)
     irr = irreducible_closed_sets(space)
-    sc = point_closures(space)
-    if kf == irr:
-        return WdStatus("DETERMINED", irr, kf, irr, "squeeze: meeting family equals irreducible family")
-    if kf == sc:
-        return WdStatus("DETERMINED", sc, kf, irr, "well-filtered collapse: meeting family equals point closures")
-    return WdStatus("BRACKET", None, kf, irr, "bounds do not meet")
+    if kf_sets(space) != irr:
+        raise CheckFailed("squeeze bounds differ: meeting family is not the irreducible family")
+    return irr
 
 
 def sc_family(space: FinSpace) -> ClosedFamily:
@@ -276,8 +243,7 @@ def family_members(kind: str, space: FinSpace) -> tuple[int, ...]:
     """Members of the named closed-set family of a finite space.
 
     Sc: point closures; Irr: irreducible closed sets; KF: the meeting
-    family; WD: the squeezed image-closure family, which is refused with
-    `WdNotDetermined` when the squeeze leaves a bracket.
+    family; WD: the squeezed image-closure family.
     """
     if kind == "Sc":
         return point_closures(space)
@@ -286,21 +252,12 @@ def family_members(kind: str, space: FinSpace) -> tuple[int, ...]:
     if kind == "KF":
         return kf_sets(space)
     if kind == "WD":
-        st = wd_status(space)
-        if not st.determined:
-            raise WdNotDetermined(
-                "image-closure family is undetermined on " + ",".join(space.labels)
-            )
-        return st.value
+        return wd_status(space)
     raise PreconditionViolated(f"unknown family kind {kind!r}")
 
 
 def pushforward_family(f: ContinuousMap, a_mask: int, kind: str) -> int:
-    """Closure of the image of a family member, verified to stay in kind.
-
-    For the image-closure kind both endpoint families must be DETERMINED;
-    otherwise the membership question is refused rather than guessed.
-    """
+    """Closure of the image of a family member, verified to stay in kind."""
     if a_mask not in set(family_members(kind, f.source)):
         raise PreconditionViolated("set is not a member of the source family")
     image_closure = f.target.closure(f.image(a_mask))

@@ -126,16 +126,12 @@ def canonical_json(obj) -> str:
 
 def _family_payload(space: FinSpace) -> dict:
     as_labels = lambda fam: [list(space.labels_of_mask(m)) for m in fam]
-    st = wd_status(space)
     payload = {
         kind: as_labels(family_members(kind, space)) for kind in ("Sc", "Irr", "KF")
     }
-    payload["WD"] = {
-        "status": st.status,
-        "value": as_labels(st.value) if st.determined else None,
-        "lower": as_labels(st.lower),
-        "upper": as_labels(st.upper),
-    }
+    # the squeeze makes the value and both of its bounds one family
+    wd = as_labels(wd_status(space))
+    payload["WD"] = {"status": "DETERMINED", "value": wd, "lower": wd, "upper": wd}
     return payload
 
 
@@ -357,8 +353,8 @@ def _analyze_cofnat() -> dict:
         "verdict": "PASS",
         "input": {"kind": "builtin", "name": "cofinite-nat"},
         "families": {
-            k: (v.describe() if hasattr(v, "describe") else
-                {"status": v.status, "value": v.value.describe()})
+            k: ({"status": "DETERMINED", "value": v.describe()} if k == "WD"
+                else v.describe())
             for k, v in data["families"].items()
         },
         "panel": panel_payload(panel),

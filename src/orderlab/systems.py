@@ -14,8 +14,8 @@ one pair has no recorded separation at all and never counts.
 The classifier panel itself is equality-driven — soberness compares
 irreducible closed sets against point closures, well-filteredness
 compares the minimal-meeting family against point closures, and so on —
-with every flag carrying either a witness or an explicit UNDETERMINED
-marker, and the known implication arrows re-validated on every panel.
+with every flag carrying a witness, and the known implication arrows
+re-validated on every panel.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from types import MappingProxyType
 from .cofinite import (
     COFNAT,
     CofNat,
-    SymClosedFamily,
-    SymWdStatus,
     classify_cofnat,
     irr_cofnat,
     kf_cofnat,
@@ -36,13 +34,7 @@ from .cofinite import (
     wd_cofnat,
 )
 from .errors import CheckFailed, PreconditionViolated
-from .families import (
-    ClosedFamily,
-    WdStatus,
-    family_members,
-    kf_family,
-    wd_status,
-)
+from .families import ClosedFamily, family_members, kf_family, wd_status
 from .posets import FinPoset
 from .reflections import PairWitness, _eta_max_up, pair_conditions_check
 from .spaces import (
@@ -85,25 +77,9 @@ WD = SubsetSystemId("WD")
 IRR = SubsetSystemId("IRR")
 
 
-def _sym_wd_starred(st: SymWdStatus) -> SymWdStatus:
-    return SymWdStatus(
-        st.status,
-        st.value.starred() if st.value is not None else None,
-        st.lower.starred(),
-        st.upper.starred(),
-        st.how,
-    )
-
-
 def hc(system: SubsetSystemId, x):
     """Closed-set family of the named system on a finite space or the
-    cofinite line.
-
-    Point closures, minimal-meeting sets, and irreducible closed sets
-    come back as plain families; the image-closure system may come back
-    as a status bracket instead of a family when the squeeze between
-    the other two does not collapse.
-    """
+    cofinite line: a `ClosedFamily` or a `SymClosedFamily`."""
     if isinstance(x, CofNat):
         fam = {
             "SC": sc_cofnat,
@@ -111,72 +87,20 @@ def hc(system: SubsetSystemId, x):
             "WD": wd_cofnat,
             "IRR": irr_cofnat,
         }[system.kind]()
-        if not system.starred:
-            return fam
-        if isinstance(fam, SymWdStatus):
-            return _sym_wd_starred(fam)
-        return fam.starred()
+        return fam.starred() if system.starred else fam
     if not isinstance(x, FinSpace):
         raise PreconditionViolated(
             "evaluators take a finite space or the cofinite line, "
             f"not {type(x).__name__}"
         )
-    if system.kind == "WD":
-        st = wd_status(x)
-        return st.starred(x) if system.starred else st
     kind = _FAMILY_KIND[system.kind]
     fam = ClosedFamily(x, family_members(kind, x), kind)
     return fam.starred() if system.starred else fam
 
 
-# ---------------------------------------------------------------------------
-# resolved family values and agreement cells
-
-
-def _resolved(fam):
-    """Normalize a family value to ("det", value) or ("bracket", lo, hi)."""
-    if isinstance(fam, ClosedFamily):
-        return ("det", frozenset(fam.members))
-    if isinstance(fam, SymClosedFamily):
-        return ("det", fam)
-    if isinstance(fam, WdStatus):
-        if fam.determined:
-            return ("det", frozenset(fam.value))
-        return ("bracket", frozenset(fam.lower), frozenset(fam.upper))
-    if isinstance(fam, SymWdStatus):
-        if fam.determined:
-            return ("det", fam.value)
-        return ("bracket", fam.lower, fam.upper)
-    raise CheckFailed("unrecognized family value", type(fam).__name__)
-
-
-def _contained(a, b) -> bool:
-    """Inclusion between two family values of the same flavor."""
-    if isinstance(a, frozenset):
-        return a <= b
-    if a.all_singletons and not (
-        b.all_singletons and set(b.except_points) <= set(a.except_points)
-    ):
-        return False
-    if a.whole and not b.whole:
-        return False
-    return all(b.contains(s) for s in a.finite_list)
-
-
-def _cell(a, b):
-    """Equality verdict between two resolved families: True, False, or
-    None when a bracket leaves the comparison open."""
-    if a[0] == "det" and b[0] == "det":
-        return a[1] == b[1]
-    if a[0] == "bracket" and b[0] == "bracket":
-        return None
-    det, br = (a, b) if a[0] == "det" else (b, a)
-    value, lower, upper = det[1], br[1], br[2]
-    if not (_contained(lower, value) and _contained(value, upper)):
-        return False
-    if lower == upper:
-        return True
-    return None
+def _value(fam):
+    """A family in a form that compares by its members."""
+    return frozenset(fam.members) if isinstance(fam, ClosedFamily) else fam
 
 
 # ---------------------------------------------------------------------------
@@ -217,55 +141,30 @@ def verify_distinctness_registry() -> MappingProxyType:
     for pair, (grade, _note) in DISTINCTNESS.items():
         h, g = sorted(pair)
         if grade == MACHINE:
-            hv = _resolved(hc(SubsetSystemId(h), COFNAT))
-            gv = _resolved(hc(SubsetSystemId(g), COFNAT))
-            if hv[0] != "det" or gv[0] != "det":
-                raise CheckFailed("separation witness is undetermined", (h, g))
-            if hv[1] == gv[1]:
+            hv, gv = (_value(hc(SubsetSystemId(k), COFNAT)) for k in (h, g))
+            if hv == gv:
                 raise CheckFailed("machine separation failed", (h, g))
         out[(h, g)] = grade
     return MappingProxyType(out)
 
 
 def _matrix(x, starred: bool):
-    resolved = {
-        k: _resolved(hc(SubsetSystemId(k, starred), x)) for k in SYSTEM_KINDS
-    }
-    rows = []
-    for h in SYSTEM_KINDS:
-        row = []
-        for g in SYSTEM_KINDS:
-            row.append(True if h == g else _cell(resolved[h], resolved[g]))
-        rows.append(tuple(row))
-    n = len(SYSTEM_KINDS)
-    for i in range(n):
-        for j in range(n):
-            if rows[i][j] != rows[j][i]:
-                raise CheckFailed("agreement matrix is not symmetric")
-            if rows[i][j] is not True:
-                continue
-            for k in range(n):
-                if rows[j][k] is True and rows[i][k] is False:
-                    raise CheckFailed("agreement matrix is not transitive")
-    return tuple(rows)
+    values = [_value(hc(SubsetSystemId(k, starred), x)) for k in SYSTEM_KINDS]
+    return tuple(tuple(a == b for b in values) for a in values)
 
 
 @dataclass(frozen=True)
 class Flag:
     name: str
-    value: bool | None
+    value: bool
     witness: str
-
-    @property
-    def determined(self) -> bool:
-        return self.value is not None
 
 
 @dataclass(frozen=True)
 class HModelTable:
     space_name: str
-    plain: tuple[tuple[bool | None, ...], ...]
-    star: tuple[tuple[bool | None, ...], ...]
+    plain: tuple[tuple[bool, ...], ...]
+    star: tuple[tuple[bool, ...], ...]
     h_model: Flag
     weak_h_model: Flag
 
@@ -276,25 +175,19 @@ class HModelTable:
 
 def _agreement_flag(name: str, matrix, starred: bool) -> Flag:
     mark = "*" if starred else ""
-    open_cell = False
     for i, h in enumerate(SYSTEM_KINDS):
         for j in range(i + 1, len(SYSTEM_KINDS)):
             g = SYSTEM_KINDS[j]
             grade, note = DISTINCTNESS[frozenset({h, g})]
             if grade == UNKNOWN:
                 continue
-            cell = matrix[i][j]
-            if cell is True:
+            if matrix[i][j]:
                 return Flag(
                     name,
                     True,
                     f"{h}{mark} agrees with {g}{mark}; "
                     f"distinctness {grade.lower()}-graded: {note}",
                 )
-            if cell is None:
-                open_cell = True
-    if open_cell:
-        return Flag(name, None, "an agreement cell is open under the bracket")
     return Flag(
         name,
         False,
@@ -383,21 +276,6 @@ def _diff_witness(x: FinSpace, a_name: str, a: frozenset, b_name: str, b: frozen
     return f"{side} contains {label}, {other} does not"
 
 
-def _wd_flag(name: str, x: FinSpace, st: WdStatus, other_name: str, other: frozenset) -> Flag:
-    cell = _cell(("det", other), _resolved(st))
-    if cell is None:
-        return Flag(name, None, "the bracket does not decide the comparison")
-    if cell:
-        return Flag(name, True, f"image-closure family = {other_name}")
-    if st.determined:
-        return Flag(
-            name,
-            False,
-            _diff_witness(x, "image-closure family", frozenset(st.value), other_name, other),
-        )
-    return Flag(name, False, f"the bracket already excludes {other_name}")
-
-
 def classify(x) -> ClassifierPanel:
     """Full flag panel of a space, every flag carrying a witness.
 
@@ -428,7 +306,7 @@ def classify(x) -> ClassifierPanel:
     sc = frozenset(point_closures(x))
     irr = frozenset(irreducible_closed_sets(x))
     kf = frozenset(kf_family(x).members)
-    st = wd_status(x)
+    wd = frozenset(wd_status(x))
     sober_eq = irr == sc
     sober_def, _evidence = is_sober(x)
     if sober_eq != sober_def:
@@ -442,8 +320,10 @@ def classify(x) -> ClassifierPanel:
              _diff_witness(x, "minimal-meeting sets", kf, "point closures", sc)),
         Flag("rudin", kf == irr,
              _diff_witness(x, "minimal-meeting sets", kf, "irreducible closed sets", irr)),
-        _wd_flag("wd_space", x, st, "irreducible closed sets", irr),
-        _wd_flag("wk_space", x, st, "minimal-meeting sets", kf),
+        Flag("wd_space", wd == irr,
+             _diff_witness(x, "image-closure family", wd, "irreducible closed sets", irr)),
+        Flag("wk_space", wd == kf,
+             _diff_witness(x, "image-closure family", wd, "minimal-meeting sets", kf)),
         Flag("weak_sober", star(irr) == star(sc),
              _diff_witness(x, "proper irreducibles", star(irr), "proper point closures", star(sc))),
         Flag("weak_well_filtered", star(kf) == star(sc),

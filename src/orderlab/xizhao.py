@@ -5,7 +5,8 @@ The model's carrier is every pair (x, e) with e maximal and x <= e, written
 maximal coordinate and x <= y, or when (y, d) is the top of a slice that x
 sits under (y = d and x <= d).  Its maximal elements are exactly the pairs
 (e, e), the slice interiors partition the rest, and every directed subset
-either has a maximal element or lives inside one slice.
+either meets the maximal pairs or lives inside one slice with directed
+base coordinates.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from . import bits
 from .errors import (
     BudgetExceeded,
     CheckFailed,
+    InputError,
     NotAlgebraic,
     NotBoundedComplete,
     NotT1,
@@ -92,18 +94,14 @@ class XiZhaoPoset:
 
 
 def _dichotomy_holds(model: XiZhaoPoset, d_mask: int) -> bool:
-    poset = model.poset
-    members = bits.indices_of(d_mask)
-    has_max = any(
-        not (poset.up[i] & d_mask & ~(1 << i)) for i in members
-    )
-    if has_max:
+    """A directed set meets the maximal pairs, or lies inside one slice
+    and has directed base coordinates."""
+    if d_mask & model.max_mask:
         return True
-    for e, smask in model.slice_masks:
+    for _, smask in model.slice_masks:
         if bits.is_subset(d_mask, smask):
-            xs = bits.mask_of(model.pairs[i][0] for i in members)
-            if is_directed(model.base, xs):
-                return True
+            xs = bits.mask_of(model.pairs[i][0] for i in bits.indices_of(d_mask))
+            return is_directed(model.base, xs)
     return False
 
 
@@ -111,15 +109,19 @@ def _dichotomy_holds(model: XiZhaoPoset, d_mask: int) -> bool:
 def xizhao_model(base: FinPoset) -> XiZhaoPoset:
     """Build the pair model of a bounded-complete algebraic poset.
 
+    Pair labels are "x@e", so a base label containing "@" is refused.
     Asserted structure: the maximal pairs are exactly (e, e); the slice
     interiors partition the non-maximal part; and, on models of up to 10
     pairs, every directed subset (found by scanning all 2^n subsets with
-    `is_directed`) obeys the maximal-element-or-single-slice dichotomy.
-    Beyond 10 pairs only the first two are asserted: every directed subset
-    of a finite poset has a greatest element, so the dichotomy's first
-    alternative always holds, and `scott_space` checks the supremum of
-    every directed set that `directed_subsets` lists.
+    `is_directed`) meets the maximal pairs or lies inside one slice with
+    directed base coordinates.  Beyond 10 pairs the dichotomy is not
+    scanned; only the first two are asserted.
     """
+    for label in base.labels:
+        if "@" in label:
+            raise InputError(
+                f"label {label!r} contains '@', which the pair labels x@e reserve"
+            )
     ok, witness = is_bounded_complete(base)
     if not ok:
         raise NotBoundedComplete(base.labels_of_mask(witness))

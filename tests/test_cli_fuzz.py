@@ -10,13 +10,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from orderlab.cli import main
 
-LABELS = ("a", "b", "c", "d", "e", "f")
+# "@" joins the coordinates of a pair label, so labels holding it are refused
+LABELS = ("a", "b", "c", "d", "e", "f", "a@b")
 
 # anything JSON can hold, nested a little
 junk = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 3) | st.text("abz", max_size=2),
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text("abz@", max_size=2),
     lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text("abz", max_size=2), inner, max_size=2),
+    | st.dictionaries(st.text("abz@", max_size=2), inner, max_size=2),
     max_leaves=6,
 )
 # a known label, an unknown one, or something that is not a label at all
@@ -62,6 +63,12 @@ def doc_path(tmp_path_factory):
 @example({"elements": ["a"], "leq": [[["a"], "a"]]}, ("analyze", "--poset"))
 @example({"points": ["a"], "opens": [[["a"]]]}, ("classify", "--space"))
 @example({"points": ["a"], "opens": [[["a"]]]}, ("sobrify", "--space"))
+@example({"elements": ["a@b"], "leq": []}, ("analyze", "--poset"))
+@example(
+    {"elements": ["z", "a@b", "c", "a", "b@c"],
+     "leq": [["z", "a@b"], ["a@b", "c"], ["z", "a"], ["a", "b@c"]]},
+    ("analyze", "--poset"),
+)
 @settings(max_examples=150, deadline=None)
 def test_cli_answers_every_json_document(doc_path, doc, command):
     doc_path.write_text(json.dumps(doc))

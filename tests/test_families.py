@@ -1,12 +1,12 @@
-"""Closed-set families: meeting sets, refinement, squeeze status, pushforward."""
+"""Closed-set families: meeting sets, refinement, the squeeze, pushforward."""
 
 import pytest
 
-from orderlab import families
+from orderlab import cofinite, families
 from orderlab.errors import CheckFailed, InvalidFamily, PreconditionViolated
 from orderlab.families import (
     FilteredFamily,
-    WdStatus,
+    family_members,
     irr_family,
     kf_family,
     kf_sets,
@@ -74,21 +74,25 @@ def test_families_and_roles():
 
 def test_wd_status_determined_on_finite_spaces():
     for space in (SIERPINSKI, discrete(2), discrete(3), scott_space(VEE)):
-        st = wd_status(space)
-        assert st.determined
-        assert st.value == st.lower == st.upper
-        assert st.value == irreducible_closed_sets(space)
-        assert st.value == point_closures(space)
-    st = wd_status(SIERPINSKI).starred(SIERPINSKI)
-    assert st.value == (1,)
+        wd = wd_status(space)
+        assert wd == kf_sets(space) == irreducible_closed_sets(space)
+        assert wd == point_closures(space)
+        assert family_members("WD", space) == wd
 
 
-def test_wd_status_bracket_shape():
-    # the undetermined shape is carried verbatim, never collapsed
-    st = WdStatus("BRACKET", None, (1,), (1, 3), "bounds do not meet")
-    assert not st.determined
-    starred = st.starred(SIERPINSKI)
-    assert starred.value is None and starred.upper == (1,)
+def test_squeeze_raises_when_its_bounds_differ(monkeypatch):
+    space = scott_space(VEE)
+    real = families.kf_sets
+    monkeypatch.setattr(families, "kf_sets", lambda sp: real(sp)[1:])
+    wd_status.cache_clear()
+    try:
+        with pytest.raises(CheckFailed, match="squeeze bounds differ"):
+            wd_status(space)
+    finally:
+        wd_status.cache_clear()
+    monkeypatch.setattr(cofinite, "kf_cofnat", lambda: cofinite.SC_COFNAT)
+    with pytest.raises(CheckFailed, match="squeeze bounds differ"):
+        cofinite.wd_cofnat()
 
 
 def test_pushforward_keeps_kind():
@@ -112,7 +116,7 @@ def test_sandwich_over_corpus(small_corpus):
         kf = set(kf_sets(space))
         irr = set(irreducible_closed_sets(space))
         assert sc <= kf <= irr
-        assert wd_status(space).determined
+        assert set(wd_status(space)) == irr
 
 
 def test_single_set_sample_catches_a_dropped_member(monkeypatch):

@@ -155,10 +155,7 @@ def test_family_sandwich(poset):
     kf = set(kf_sets(space))
     irr = set(irreducible_closed_sets(space))
     assert sc <= kf <= irr
-    st_ = wd_status(space)
-    assert set(st_.lower) <= set(st_.upper)
-    if st_.determined:
-        assert set(st_.lower) <= set(st_.value) <= set(st_.upper)
+    assert set(wd_status(space)) == kf == irr
 
 
 @given(finite_spaces())

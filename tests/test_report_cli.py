@@ -34,9 +34,11 @@ from orderlab.report import (
     canonical_json,
     inject_fault,
     oracle_search,
+    panel_payload,
     parse_which,
     run_suite,
 )
+from orderlab.systems import classify
 from orderlab.xizhao import xizhao_model
 
 REPORT_KEYS = (
@@ -297,6 +299,21 @@ def test_report_bytes_are_pinned():
     }
     digest = hashlib.sha256(canonical_json(doc).encode()).hexdigest()
     assert digest == PINNED_REPORT_SHA256
+
+
+PINNED_COFNAT_SHA256 = "67f863d3c41bd37216ae4150e3aca4504adffa3f104c3549aee97283a114f11d"
+
+
+def test_cofinite_report_bytes_are_pinned(capsys):
+    capsys.readouterr()
+    assert main(["wfreflect", "--builtin", "cofinite-nat"]) == 0
+    doc = {
+        "analyze": canonical_json(analyze_space(COFNAT)),
+        "panel": canonical_json(panel_payload(classify(COFNAT))),
+        "wfreflect": capsys.readouterr().out,
+    }
+    digest = hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+    assert digest == PINNED_COFNAT_SHA256
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,8 @@ import itertools
 
 import pytest
 
-from orderlab.cofinite import COFNAT, IRR_COFNAT, SymWdStatus
+from orderlab.cofinite import COFNAT, IRR_COFNAT
 from orderlab.errors import CheckFailed, PreconditionViolated
-from orderlab.families import WdStatus
 from orderlab.fixtures import CHAIN2, DIAMOND, FIXTURE_POSETS, SIERPINSKI, VEE, discrete
 from orderlab.scott import scott_space
 from orderlab.spaces import make_space
@@ -27,9 +26,7 @@ from orderlab.systems import (
     Flag,
     SubsetSystemId,
     _agreement_flag,
-    _cell,
     _check_arrows,
-    _resolved,
     classifier_agreement,
     classify,
     dcpo_model_determined_check,
@@ -52,12 +49,12 @@ def test_evaluator_on_finite_spaces():
     assert hc(SC, SIERPINSKI).role == "Sc"
     assert hc(KF, discrete(2)).members == (1, 2)
     assert hc(IRR, SIERPINSKI).members == (1, 3)
-    st = hc(WD, SIERPINSKI)
-    assert isinstance(st, WdStatus) and st.determined and st.value == (1, 3)
+    wd = hc(WD, SIERPINSKI)
+    assert wd.members == (1, 3) and wd.role == "WD"
     starred = hc(SubsetSystemId("IRR", True), SIERPINSKI)
     assert starred.members == (1,) and starred.role == "Irr*"
-    st = hc(SubsetSystemId("WD", True), SIERPINSKI)
-    assert st.value == (1,)
+    starred = hc(SubsetSystemId("WD", True), SIERPINSKI)
+    assert starred.members == (1,) and starred.role == "WD*"
     with pytest.raises(PreconditionViolated):
         hc(SC, 42)
 
@@ -66,24 +63,8 @@ def test_evaluator_on_the_cofinite_line():
     assert hc(IRR, COFNAT) == IRR_COFNAT
     assert hc(SubsetSystemId("IRR", True), COFNAT).describe() == "ALL_SINGLETONS"
     assert hc(SC, COFNAT).describe() == "ALL_SINGLETONS"
-    st = hc(WD, COFNAT)
-    assert isinstance(st, SymWdStatus) and st.determined
-    st = hc(SubsetSystemId("WD", True), COFNAT)
-    assert st.value.describe() == "ALL_SINGLETONS"
-
-
-def test_cell_logic_with_synthetic_brackets():
-    det13 = _resolved(WdStatus("DETERMINED", (1, 3), (1, 3), (1, 3), "x"))
-    det1 = ("det", frozenset({1}))
-    det2 = ("det", frozenset({2}))
-    bracket = _resolved(WdStatus("BRACKET", None, (1,), (1, 3), "x"))
-    tight = _resolved(WdStatus("BRACKET", None, (1, 3), (1, 3), "x"))
-    assert _cell(det13, det13) is True
-    assert _cell(det13, det1) is False
-    assert _cell(bracket, bracket) is None
-    assert _cell(det13, bracket) is None  # inside the bounds, undecided
-    assert _cell(det2, bracket) is False  # outside the bounds, refuted
-    assert _cell(det13, tight) is True    # bounds met, forced
+    assert hc(WD, COFNAT) == IRR_COFNAT
+    assert hc(SubsetSystemId("WD", True), COFNAT).describe() == "ALL_SINGLETONS"
 
 
 def test_distinctness_registry():
@@ -123,11 +104,6 @@ def test_agreement_flag_fallbacks():
     )
     flag = _agreement_flag("h_model", all_false, False)
     assert flag.value is False and "lower bound" in flag.witness
-    with_open = tuple(
-        tuple(True if i == j else None for j in range(4)) for i in range(4)
-    )
-    flag = _agreement_flag("h_model", with_open, False)
-    assert flag.value is None and not flag.determined
 
 
 def test_classify_cofinite_panel():
@@ -153,7 +129,6 @@ def test_classify_finite_spaces():
         assert tuple(f.name for f in panel.flags) == FLAG_ORDER
         # finite T0 spaces are sober, so the whole panel collapses to true
         assert all(f.value is True for f in panel.flags)
-        assert all(f.determined for f in panel.flags)
 
 
 def test_classify_rejections():

@@ -4,15 +4,17 @@ import pytest
 
 from orderlab.errors import (
     BudgetExceeded,
+    InputError,
     NotBoundedComplete,
     NotT1,
     NotUpperSet,
     PreconditionViolated,
 )
 from orderlab.fixtures import CHAIN2, DIAMOND, SIERPINSKI, VEE, discrete
-from orderlab.posets import FinPoset, is_directed, maximal_elements
+from orderlab.posets import FinPoset, is_directed, maximal_elements, validate_poset
 from orderlab.spaces import is_homeomorphism
 from orderlab.xizhao import (
+    XiZhaoPoset,
     _dichotomy_holds,
     e_set,
     max_homeo_check,
@@ -52,13 +54,41 @@ def test_model_rejects_unbounded_base():
         xizhao_model(antichain)
 
 
+def test_model_refuses_at_in_base_labels():
+    for doc in (
+        (("a@b",), ()),
+        (("z", "a@b", "c", "a", "b@c"),
+         (("z", "a@b"), ("a@b", "c"), ("z", "a"), ("a", "b@c"))),
+    ):
+        with pytest.raises(InputError, match="'a@b'"):
+            xizhao_model(validate_poset(*doc))
+
+
 def test_directed_dichotomy_exhaustive():
+    avoiding_max = 0
     for base in (CHAIN2, VEE, DIAMOND):
         model = xizhao_model(base)
         n = len(model.pairs)
         for d in range(1, 1 << n):
             if is_directed(model.poset, d):
                 assert _dichotomy_holds(model, d)
+                avoiding_max += not d & model.max_mask
+    assert avoiding_max  # the single-slice alternative is exercised
+
+
+def test_dichotomy_fails_on_orders_that_break_it():
+    # a@b below a@c links the two slice interiors of the vee model:
+    # {a@b, a@c} is directed, misses the maximal pairs, and fits no slice
+    vee = xizhao_model(VEE)
+    linked = FinPoset(vee.poset.labels, (0b1111,) + vee.poset.up[1:])
+    assert not _dichotomy_holds(XiZhaoPoset(VEE, linked, vee.pairs), 0b0101)
+    # m1@top below m2@top inside the diamond's one slice: the set
+    # {m1@top, m2@top} is directed but its base coordinates are not
+    dia = xizhao_model(DIAMOND)
+    up = list(dia.poset.up)
+    up[1] |= up[2]
+    crossed = FinPoset(dia.poset.labels, tuple(up))
+    assert not _dichotomy_holds(XiZhaoPoset(DIAMOND, crossed, dia.pairs), 0b0110)
 
 
 def test_e_set_display_matches_scan():
