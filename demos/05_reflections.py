@@ -18,7 +18,6 @@ from orderlab import (
     claim_embed2_check,
     decomposition_check,
     j_embedding_check,
-    scott_space,
     shen_iterate,
     sobrification,
     universal_property_smoke,

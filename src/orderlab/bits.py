@@ -29,13 +29,40 @@ def mask_of(indices) -> int:
     return m
 
 
+def _byte_table(offset: int) -> tuple[tuple[int, ...], ...]:
+    """Entry b is the index tuple of byte value b placed at bit `offset`."""
+    table = [()]
+    for i in range(offset, offset + 8):
+        table += [t + (i,) for t in table]
+    return tuple(table)
+
+
+# one table per byte of a 64-bit mask; every point mask fits (MAX_CARRIER)
+_BYTE_TABLES = tuple(_byte_table(8 * k) for k in range(8))
+
+
 def indices_of(mask: int) -> tuple[int, ...]:
-    out = []
+    """Indices of the set bits of `mask`, in increasing order.
+
+    Masks below 2^64 are read a byte at a time from `_BYTE_TABLES`.
+    Wider masks (family-index masks over many members, mostly sparse)
+    take one step per set bit.
+    """
+    if mask >> 64:
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return tuple(out)
+    out = _BYTE_TABLES[0][mask & 255]
+    mask >>= 8
+    k = 1
     while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+        out += _BYTE_TABLES[k][mask & 255]
+        mask >>= 8
+        k += 1
+    return out
 
 
 def subset_key(mask: int):

@@ -10,7 +10,9 @@ is verified on explicit finite instances: both sides of every equation
 are computed independently and compared exactly.  The up-part of a
 hyperspace, the members above an embedded maximal point, is computed in
 one place (`_eta_max_up`) by two routes that are compared there, and
-every runner that needs it reads it from there.
+every runner that needs it reads it from there.  The pair-condition
+witness is memoized by value on ``(poset, family)``: its checks run once
+per distinct family, however many runners ask for it.
 """
 
 from __future__ import annotations
@@ -277,12 +279,19 @@ class PairWitness:
     witness: tuple | None
 
 
+@lru_cache(maxsize=1024)
 def pair_conditions_check(poset: FinPoset, members: tuple[int, ...]) -> PairWitness:
     """Conditions (P1)-(P3) for the hyperspace over a sandwiched family.
 
     Also runs the compact-set side condition: the point-map preimage of
     every compact saturated set of the hyperspace is saturated in the
     pair model, and its top-set display agrees with the brute scan.
+
+    Memoized by value on ``(poset, members)``: on a finite pair model
+    Sc = Irr, so the pair, EQ2 and stage-chain runners all ask for the
+    same witness.  Every check above still runs once per distinct
+    family; a repeat call with equal arguments returns the witness
+    already verified.  A failing check raises and caches nothing.
     """
     model = xizhao_model(poset)
     sigma = model.sigma

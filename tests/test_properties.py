@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orderlab import bits
 from orderlab.cofinite import (
@@ -235,6 +235,33 @@ def test_minimal_meeting_is_the_definitional_scan(space):
             if not any(d != c and bits.is_subset(d, c) for d in meeting)
         )
         assert _minimal_meeting(space, members) == expected
+
+
+def _lowest_bit_loop(mask):
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+@given(st.one_of(
+    # masks of 0 to 64 bits: every point mask, read through the byte tables
+    st.integers(0, 64).flatmap(lambda width: st.integers(0, (1 << width) - 1)),
+    # sparse masks well past 64 bits, with or without a dense low part
+    st.tuples(st.sets(st.integers(0, 63)),
+              st.sets(st.integers(64, 3000), min_size=1, max_size=20))
+    .map(lambda parts: bits.mask_of(parts[0] | parts[1])),
+))
+@example(0)
+@example((1 << 64) - 1)
+@example(1 << 64)
+@settings(max_examples=300, deadline=None)
+def test_indices_of_is_the_lowest_bit_loop(mask):
+    out = bits.indices_of(mask)
+    assert type(out) is tuple
+    assert out == _lowest_bit_loop(mask)
 
 
 @given(posets())

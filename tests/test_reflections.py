@@ -11,7 +11,7 @@ from orderlab.errors import (
     CheckFailed,
     SandwichViolated,
 )
-from orderlab.fixtures import CHAIN2, DIAMOND, FIXTURE_POSETS, SIERPINSKI, VEE, discrete
+from orderlab.fixtures import DIAMOND, FIXTURE_POSETS, SIERPINSKI, VEE, discrete
 from orderlab.reflections import (
     EQUATION_NAMES,
     all_posets,
@@ -217,6 +217,8 @@ def test_a_broken_up_part_route_fails_every_runner(monkeypatch, route):
 
     monkeypatch.setattr(reflections, "_eta_max_up", broken)
     monkeypatch.setattr(systems, "_eta_max_up", broken)
+    # a witness memoized by an earlier call would skip the broken route
+    reflections.pair_conditions_check.cache_clear()
     report = analyze_poset(VEE)
     assert report["verdict"] == "FAIL"
     errors = {w["check"]: w["error"] for w in report["witnesses"]}

@@ -24,6 +24,7 @@ from orderlab.io import (
     space_to_json,
 )
 from orderlab.posets import is_bounded_complete
+from orderlab.reflections import pair_conditions_check
 from orderlab.scott import scott_space
 from orderlab.report import (
     ALL_WHICH,
@@ -217,6 +218,16 @@ def test_poset_report_builds_each_scott_space_once(monkeypatch):
     built.clear()
     analyze_poset(VEE)
     assert built == []
+
+
+def test_poset_report_computes_each_pair_witness_once():
+    # pair[Sc], pair[Irr], EQ2 for both families and every embed2 stage
+    # ask for the one family of a finite pair model (Sc = Irr)
+    pair_conditions_check.cache_clear()
+    analyze_poset(VEE)
+    info = pair_conditions_check.cache_info()
+    assert info.hits + info.misses >= 6
+    assert info.misses == 1
 
 
 def test_orderlab_runs_without_numpy():
