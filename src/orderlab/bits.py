@@ -12,6 +12,8 @@ size.
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import BudgetExceeded
 
 MAX_CARRIER = 60
@@ -39,22 +41,26 @@ def _byte_table(offset: int) -> tuple[tuple[int, ...], ...]:
 
 # one table per byte of a 64-bit mask; every point mask fits (MAX_CARRIER)
 _BYTE_TABLES = tuple(_byte_table(8 * k) for k in range(8))
+# binary digit characters to 0/1 selector bytes
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def indices_of(mask: int) -> tuple[int, ...]:
     """Indices of the set bits of `mask`, in increasing order.
 
-    Masks below 2^64 are read a byte at a time from `_BYTE_TABLES`.
-    Wider masks (family-index masks over many members, mostly sparse)
-    take one step per set bit.
+    Masks below 2^64, which include every point mask, are read a byte at
+    a time from `_BYTE_TABLES`.  Wider masks index a family, such as the
+    closed sets selected in `families._minimal_meeting`; in the bench
+    workloads they are 66 to 441 bits wide with a median of a quarter to
+    two fifths of their bits set.  They are read in one pass over their
+    binary digits, which on those masks takes about a third of the time
+    of one step per set bit; byte tables for every offset would be about
+    as fast but cost some 20 KB per byte of width.  On point masks the
+    digit scan is four to six times slower than the byte tables.
     """
     if mask >> 64:
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return tuple(out)
+        digits = format(mask, "b")[::-1].encode().translate(_DIGITS)
+        return tuple(itertools.compress(range(len(digits)), digits))
     out = _BYTE_TABLES[0][mask & 255]
     mask >>= 8
     k = 1

@@ -249,6 +249,9 @@ def _lowest_bit_loop(mask):
 @given(st.one_of(
     # masks of 0 to 64 bits: every point mask, read through the byte tables
     st.integers(0, 64).flatmap(lambda width: st.integers(0, (1 << width) - 1)),
+    # masks of 65 to 500 bits, as wide as the family-index masks a report
+    # makes, about half their bits set
+    st.integers(65, 500).flatmap(lambda width: st.integers(1 << width - 1, (1 << width) - 1)),
     # sparse masks well past 64 bits, with or without a dense low part
     st.tuples(st.sets(st.integers(0, 63)),
               st.sets(st.integers(64, 3000), min_size=1, max_size=20))
