@@ -93,13 +93,3 @@ def bit_slices(family, n: int) -> tuple[int, ...]:
             out[p] |= 1 << j
     return tuple(out)
 
-
-def minimal_members(family) -> tuple[int, ...]:
-    """Inclusion-minimal members of a family of masks."""
-    ordered = sorted(set(family), key=subset_key)
-    mins: list[int] = []
-    for m in ordered:
-        if not any(is_subset(k, m) for k in mins):
-            mins.append(m)
-    return canon(mins)
-

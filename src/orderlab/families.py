@@ -9,6 +9,13 @@ all continuous maps into well-filtered spaces) but squeezed: on a finite
 space the two bounds coincide, so the family is their common value, and
 a gap between them raises.
 
+The meeting family is computed for all single compact saturated sets at
+once, bit-sliced over Q(X), by a production route (closures of minimal
+points) and a definitional one (closed sets meeting K whose lower covers
+do not), compared on every (closed, compact) pair.  It and the squeezed
+family are memoized by specialization preorder (`preorder_memo`), so
+spaces that differ only in their labels share them.
+
 `family_members` is the one mapping from a kind name (Sc, Irr, KF, WD) to
 its family on a finite space; every runner that names a family by kind
 goes through it.
@@ -18,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import bits
 from .errors import CheckFailed, InvalidFamily, PreconditionViolated
@@ -28,6 +34,7 @@ from .spaces import (
     compact_saturated_sets,
     irreducible_closed_sets,
     point_closures,
+    preorder_memo,
 )
 
 
@@ -47,11 +54,6 @@ class ClosedFamily:
         )
 
 
-# One membership set per compact saturated family, keyed by the cached
-# tuple that `compact_saturated_sets` returns for its space.
-_membership_set = lru_cache(maxsize=4096)(frozenset)
-
-
 @dataclass(frozen=True)
 class FilteredFamily:
     """Nonempty family of compact saturated sets, filtered under inclusion."""
@@ -62,9 +64,11 @@ class FilteredFamily:
     def __post_init__(self):
         if not self.members:
             raise InvalidFamily("family is empty")
-        qx = _membership_set(compact_saturated_sets(self.space))
+        # Q(X) is certified to be the nonempty opens
+        compact_saturated_sets(self.space)
+        opens = self.space.open_set
         for m in self.members:
-            if m not in qx:
+            if not m or m not in opens:
                 raise InvalidFamily(
                     "member is not a nonempty compact saturated set",
                     self.space.labels_of_mask(m),
@@ -124,30 +128,13 @@ def minimal_closed_meeting(space: FinSpace, family: FilteredFamily) -> tuple[int
     return full
 
 
-def _m_single_fast(space: FinSpace, k_mask: int) -> tuple[int, ...]:
-    """Minimal closed sets meeting one up-set K, by the point-closure law.
-
-    Any closed set meeting K at a point contains that point's closure,
-    which still meets K; so the minimal ones are minimal point closures
-    of minimal points of K.  Minimal is taken up to the preorder: no point
-    of K lies strictly below x, though points equivalent to x may (on a
-    non-T0 space they share its closure).  This relies only on closed
-    sets being specialization down-sets.
-    """
-    candidates = []
-    for x in bits.indices_of(k_mask):
-        if not space.spec_down[x] & k_mask & ~space.spec_up[x]:
-            candidates.append(space.spec_down[x])
-    return bits.minimal_members(candidates)
-
-
 def rudin_refine(space: FinSpace, family: FilteredFamily, c_mask: int) -> int:
     """Shrink a closed set meeting every member to a minimal such subset.
 
     Greedy descent through the closed family in canonical order.  The
     result is verified irreducible and a member of the minimal family.
     """
-    if c_mask not in space.closed_set:
+    if c_mask not in space.closed_index:
         raise InvalidFamily("refinement start is not closed",
                             space.labels_of_mask(c_mask))
     if not all(c_mask & k for k in family.members):
@@ -171,41 +158,115 @@ def rudin_refine(space: FinSpace, family: FilteredFamily, c_mask: int) -> int:
     return current
 
 
-@lru_cache(maxsize=4096)
+def _compact_slices(space: FinSpace) -> list[int]:
+    """Entry p has bit i set when the i-th compact saturated set holds p.
+
+    Q(X) is the nonempty opens in canonical order, which is the opens
+    without opens[0], the empty set.
+    """
+    return [s >> 1 for s in space.open_slices]
+
+
+def _meeting_by_minimal_points(space: FinSpace) -> tuple[int, ...]:
+    """Production route for every compact saturated set K at once: entry j
+    has bit i set when closed[j] is a minimal closed set meeting the i-th.
+
+    Any closed set meeting K at a point contains that point's closure,
+    which still meets K; so the minimal ones are the closures of the
+    minimal points of K.  Minimal is taken up to the preorder: no point
+    of K lies strictly below x, though points equivalent to x may (they
+    share its closure).  Two such closures are equal or incomparable, so
+    nothing further is dropped.  A point is minimal in the compact sets
+    that hold it and none of the points strictly below it.
+    """
+    holds = _compact_slices(space)
+    out = [0] * len(space.closed)
+    for x, down in enumerate(space.spec_down):
+        below = 0
+        for y in bits.indices_of(down & ~space.spec_up[x]):
+            below |= holds[y]
+        out[space.closed_index[down]] |= holds[x] & ~below
+    return tuple(out)
+
+
+def _meeting_by_lower_covers(space: FinSpace) -> tuple[int, ...]:
+    """Definitional route, in the layout of `_meeting_by_minimal_points`:
+    closed[j] is kept for K when it meets K and no strict closed subset
+    does.
+
+    Meeting K is monotone in the closed set, so it suffices that no lower
+    cover of closed[j] meets K.  The lower covers of a closed set C are C
+    minus one of its maximal equivalence classes: a closed D strictly
+    inside C misses a point of C and, being a down-set, every point above
+    it, among them a maximal class of C; so D lies in C minus that class,
+    which is closed.  `meets[j]`, the
+    compact sets meeting closed[j], is built in canonical order, which
+    lists every lower cover first: it is a lower cover's plus the compact
+    sets meeting the class removed.
+    """
+    holds = _compact_slices(space)
+    index = space.closed_index
+    spec_up, spec_down = space.spec_up, space.spec_down
+    meets = []
+    out = []
+    for c in space.closed:
+        covers = []
+        for x in bits.indices_of(c):
+            upper = c & spec_up[x]
+            # x is maximal in c, and the least index of its class
+            if not upper & ~spec_down[x] and upper & -upper == 1 << x:
+                covers.append((index[c & ~upper], upper))
+        hit = below = 0
+        if covers:
+            cover, removed = covers[0]
+            hit = meets[cover]
+            for p in bits.indices_of(removed):
+                hit |= holds[p]
+        for cover, _ in covers:
+            below |= meets[cover]
+        meets.append(hit)
+        out.append(hit & ~below)
+    return tuple(out)
+
+
+@preorder_memo
 def kf_sets(space: FinSpace) -> tuple[int, ...]:
     """Closed sets arising as minimal sets meeting a filtered family.
 
-    The production scan runs over single compact saturated sets (the
-    least-member reduction makes that exhaustive); a definitional sample
-    and a bounded two-member scan are run alongside and must agree.  The
-    point-closure/irreducible sandwich is asserted on the result.
+    The least-member reduction makes single compact saturated sets
+    exhaustive.  Both single-set routes run over all of Q(X) at once,
+    bit-sliced over its members: production takes each compact set's
+    minimal points and their closures (`_meeting_by_minimal_points`),
+    and the definitional route keeps a closed set that meets the compact
+    set while none of its lower covers does (`_meeting_by_lower_covers`).
+    They must agree on every (closed, compact) pair; nothing is sampled.
+    A two-member scan over up to 64 nested pairs checks the reduction,
+    and the point-closure/irreducible sandwich is asserted on the result.
     """
     qx = compact_saturated_sets(space)
-    out: set[int] = set()
-    per_k: dict[int, tuple[int, ...]] = {}
-    for k in qx:
-        m = _m_single_fast(space, k)
-        per_k[k] = m
-        out.update(m)
-    sample = qx if len(qx) * len(space.closed) <= 20_000 else qx[:24] + qx[-24:]
-    for k in sample:
-        definitional = _minimal_meeting(space, (k,))
-        if definitional != per_k[k]:
-            raise CheckFailed("single-set scan disagrees with definition", k)
+    produced = _meeting_by_minimal_points(space)
+    definitional = _meeting_by_lower_covers(space)
+    if produced != definitional:
+        diff = 0
+        for a, b in zip(produced, definitional):
+            diff |= a ^ b
+        k = qx[(diff & -diff).bit_length() - 1]
+        raise CheckFailed("single-set scan disagrees with definition",
+                          space.labels_of_mask(k))
+    kept = [(c, row) for c, row in zip(space.closed, produced) if row]
     # canonical order lists a strict subset before its superset
     pairs = itertools.islice(
-        ((big, small) for i, big in enumerate(qx) for small in qx[:i]
-         if bits.is_subset(small, big)),
+        ((big, i) for b, big in enumerate(qx) for i in range(b)
+         if bits.is_subset(qx[i], big)),
         64,
     )
-    for big, small in pairs:
-        fam = FilteredFamily(space, (big, small))
-        two = _minimal_meeting(space, fam.members)
-        if two != per_k[small]:
+    for big, i in pairs:
+        fam = FilteredFamily(space, (big, qx[i]))
+        if _minimal_meeting(space, fam.members) != tuple(
+            c for c, row in kept if row >> i & 1
+        ):
             raise CheckFailed("two-member scan disagrees with least member")
-        if not set(two) <= out:
-            raise CheckFailed("two-member scan escaped the single-set scan")
-    result = bits.canon(out)
+    result = tuple(c for c, _ in kept)
     sc = set(point_closures(space))
     irr = set(irreducible_closed_sets(space))
     if not sc <= set(result) <= irr:
@@ -213,7 +274,7 @@ def kf_sets(space: FinSpace) -> tuple[int, ...]:
     return result
 
 
-@lru_cache(maxsize=4096)
+@preorder_memo
 def wd_status(space: FinSpace) -> tuple[int, ...]:
     """The image-closure family, squeezed between its proven bounds.
 

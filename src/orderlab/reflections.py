@@ -11,8 +11,9 @@ are computed independently and compared exactly.  The up-part of a
 hyperspace, the members above an embedded maximal point, is computed in
 one place (`_eta_max_up`) by two routes that are compared there, and
 every runner that needs it reads it from there.  The pair-condition
-witness is memoized by value on ``(poset, family)``: its checks run once
-per distinct family, however many runners ask for it.
+witness, the closure-embedding report and each stage step are memoized
+by value on their arguments: their checks run once per distinct
+argument, however many runners ask for them.
 """
 
 from __future__ import annotations
@@ -107,12 +108,15 @@ class ReflectionChain:
     stabilization_index: int
 
 
+@lru_cache(maxsize=1024)
 def _stage_step(ambient: FinSpace, current: int) -> int:
     """One application of the stage rule.
 
     A point of the ambient joins when some member of the meeting family
     of the current-stage subspace closes, in the ambient, to exactly
-    that point's closure.
+    that point's closure.  Memoized by value: `shen_iterate` and
+    `claim_embed2_check` walk the same chains over the same
+    sobrifications.
     """
     sub, incl = subspace(ambient, current)
     out = 0
@@ -215,6 +219,7 @@ class JEmbeddingReport:
 _REFLECTION_FAMILY = {"sober": "Irr", "wf": "WD"}
 
 
+@lru_cache(maxsize=1024)
 def j_embedding_check(poset: FinPoset, kind: str = "sober") -> JEmbeddingReport:
     """Closure map between the maximal-point hyperspace and the full one.
 
@@ -223,7 +228,9 @@ def j_embedding_check(poset: FinPoset, kind: str = "sober") -> JEmbeddingReport:
     maximal part, cross-checked against the order-theoretic up-closure
     of the embedded maximal points), and the trace inverse — plus
     saturation of the image.  Any failure is an implementation bug, so
-    failures raise rather than report.
+    failures raise rather than report, and cache nothing.  Memoized by
+    value on ``(poset, kind)``: the embed[sober] check and
+    `claim_embed2_check` ask for the same report.
     """
     model = xizhao_model(poset)
     if kind not in _REFLECTION_FAMILY:
@@ -329,7 +336,7 @@ def pair_conditions_check(poset: FinPoset, members: tuple[int, ...]) -> PairWitn
     for c in sub_nonmax.closed:
         lifted = incl_nm.image(c)
         image_of_c = bits.mask_of(hyper.eta[i] for i in bits.indices_of(lifted))
-        if image_of_c not in hyper.space.closed_set:
+        if image_of_c not in hyper.space.closed_index:
             p3 = False
             witness = ("P3", sigma.labels_of_mask(lifted))
             break

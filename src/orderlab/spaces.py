@@ -3,25 +3,34 @@
 A finite space is Alexandrov: its opens are exactly the up-sets of its
 specialization preorder, and `spec_up[x]` is the minimal open
 neighbourhood of the point x.  A `FinSpace` stores its labels and
-`spec_up` only; the opens (enumerated by `_preorder_up_sets`), the closed
-sets, their bit-sliced views (`bits.bit_slices`: one int per point, one
-bit per member) and `spec_down` are derived on first use.  Derived spaces
-(Scott spaces, subspaces, maximal-point spaces, hyperspaces) are built
-from their preorder.  `make_space` validates an open family given from
-outside: it checks the closure laws, builds the space from the minimal
-neighbourhoods, and compares the enumerated opens with the family.
-Saturation is still the intersection of all open supersets, taken on the
-open slices in O(n) int operations.  Compactness is certified for every
-saturated set by the minimal-neighbourhood cover, and on spaces with at
-most 12 opens also by a scan of every open subfamily, run once per space
-for all candidates at once.
+`spec_up` only.  Everything label-free is keyed by `spec_up`, so spaces
+with equal preorders and different labels (a discrete maximal-point
+space and a hyperspace's up-part, say) share one computation:
+- the views: the opens (enumerated by `_preorder_up_sets`), the closed
+  sets, their bit-sliced views (`bits.bit_slices`: one int per point, one
+  bit per member) and `spec_down`, derived on first use in one
+  `PreorderViews` per preorder;
+- the families: `point_closures`, `irreducible_closed_sets` and
+  `compact_saturated_sets` here, and the meeting and squeezed families
+  in `families`, memoized by `preorder_memo`.
+Values that carry labels, such as `ph_space`'s hyperspaces, stay keyed
+by the labelled space.  Derived spaces (Scott spaces, subspaces,
+maximal-point spaces, hyperspaces) are built from their preorder.
+`make_space` validates an open family given from outside: it checks the
+closure laws, builds the space from the minimal neighbourhoods, and
+compares the enumerated opens with the family.  Saturation is still the
+intersection of all open supersets, taken on the open slices in O(n)
+int operations.  Compactness is certified for every saturated set by the
+minimal-neighbourhood cover, and on spaces with at most 12 opens also by
+a scan of every open subfamily, run once per space for all candidates at
+once.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 
 from . import bits
 from .errors import (
@@ -60,24 +69,15 @@ def _preorder_up_sets(spec_up: tuple[int, ...]) -> tuple[int, ...]:
     return bits.canon(out)
 
 
-@dataclass(frozen=True)
-class FinSpace:
-    """A finite space as its specialization preorder: `spec_up[x]` has bit
-    y set when x <= y, i.e. when every open holding x holds y."""
+class PreorderViews:
+    """The label-free views of a finite space, derived on first use from
+    its specialization preorder.  `preorder_views` holds one per preorder,
+    shared by every space with that preorder whatever its labels."""
 
-    labels: tuple[str, ...]
-    spec_up: tuple[int, ...]
-
-    def __post_init__(self):
-        check_preorder(self.labels, self.spec_up)
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
+    def __init__(self, spec_up: tuple[int, ...]):
+        self.spec_up = spec_up
+        self.n = len(spec_up)
+        self.full_mask = (1 << self.n) - 1
 
     @cached_property
     def opens(self) -> tuple[int, ...]:
@@ -85,16 +85,18 @@ class FinSpace:
 
     @cached_property
     def open_set(self) -> frozenset:
+        """The opens as a set; its nonzero members are Q(X), the compact
+        saturated sets (`compact_saturated_sets`)."""
         return frozenset(self.opens)
 
     @cached_property
     def closed(self) -> tuple[int, ...]:
-        full = self.full_mask
-        return bits.canon(full & ~u for u in self.opens)
+        return bits.canon(self.full_mask & ~u for u in self.opens)
 
     @cached_property
-    def closed_set(self) -> frozenset:
-        return frozenset(self.closed)
+    def closed_index(self) -> dict[int, int]:
+        """closed_index[c] is the position of closed set c in `closed`."""
+        return {c: j for j, c in enumerate(self.closed)}
 
     @cached_property
     def open_slices(self) -> tuple[int, ...]:
@@ -123,6 +125,49 @@ class FinSpace:
     def spec_down(self) -> tuple[int, ...]:
         """spec_down[x] = cl{x}; x <= y in specialization iff x in cl{y}."""
         return bits.bit_slices(self.spec_up, self.n)
+
+
+preorder_views = lru_cache(maxsize=4096)(PreorderViews)
+
+
+def _shared(name: str) -> cached_property:
+    """A `FinSpace` attribute read once from the views of its preorder."""
+    view = cached_property(lambda self: getattr(self.views, name))
+    view.__doc__ = getattr(PreorderViews, name).__doc__
+    return view
+
+
+@dataclass(frozen=True)
+class FinSpace:
+    """A finite space as its specialization preorder: `spec_up[x]` has bit
+    y set when x <= y, i.e. when every open holding x holds y."""
+
+    labels: tuple[str, ...]
+    spec_up: tuple[int, ...]
+
+    def __post_init__(self):
+        check_preorder(self.labels, self.spec_up)
+
+    @property
+    def n(self) -> int:
+        return len(self.labels)
+
+    @property
+    def full_mask(self) -> int:
+        return (1 << self.n) - 1
+
+    @cached_property
+    def views(self) -> PreorderViews:
+        return preorder_views(self.spec_up)
+
+    opens = _shared("opens")
+    open_set = _shared("open_set")
+    closed = _shared("closed")
+    closed_index = _shared("closed_index")
+    open_slices = _shared("open_slices")
+    closed_slices = _shared("closed_slices")
+    closed_strict_subsets = _shared("closed_strict_subsets")
+    spec_down = _shared("spec_down")
 
     @cached_property
     def t0_witness(self):
@@ -352,12 +397,48 @@ def continuous_maps(source: FinSpace, target: FinSpace, budget: int = 1_000_000)
     return tuple(out)
 
 
-@lru_cache(maxsize=4096)
+class _PreorderKey:
+    """A space that hashes and compares as its specialization preorder."""
+
+    __slots__ = ("space", "_hash")
+
+    def __init__(self, space: FinSpace):
+        self.space = space
+        self._hash = hash(space.spec_up)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return self.space.spec_up == other.space.spec_up
+
+
+def preorder_memo(fn):
+    """Memoize a label-free value of a finite space by its preorder.
+
+    Spaces with equal `spec_up` share one computation whatever their
+    labels, so `fn` must return masks only.  A miss runs `fn` on the
+    caller's own space, so a failing check names the caller's labels,
+    and a failure caches nothing.  `cache_info` and `cache_clear` are
+    those of the underlying `lru_cache`.
+    """
+    cached = lru_cache(maxsize=4096)(wraps(fn)(lambda key: fn(key.space)))
+
+    @wraps(fn)
+    def memo(space: FinSpace):
+        return cached(_PreorderKey(space))
+
+    memo.cache_info = cached.cache_info
+    memo.cache_clear = cached.cache_clear
+    return memo
+
+
+@preorder_memo
 def point_closures(space: FinSpace) -> tuple[int, ...]:
     return bits.canon(space.spec_down)
 
 
-@lru_cache(maxsize=4096)
+@preorder_memo
 def irreducible_closed_sets(space: FinSpace) -> tuple[int, ...]:
     """Nonempty closed sets not covered by two proper closed subsets.
 
@@ -443,7 +524,7 @@ def _subfamily_scan_failures(space: FinSpace, candidates) -> int:
     return failing
 
 
-@lru_cache(maxsize=4096)
+@preorder_memo
 def compact_saturated_sets(space: FinSpace) -> tuple[int, ...]:
     """All nonempty compact saturated subsets (the empty set is excluded).
 

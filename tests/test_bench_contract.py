@@ -7,13 +7,22 @@ still be an `lru_cache`.  The tracer's `clear_caches` must reach the
 package's value-keyed memos.
 """
 
+import functools
+import gc
 import importlib
 import importlib.util
 from pathlib import Path
 
+from orderlab.families import kf_sets, wd_status
 from orderlab.fixtures import VEE
-from orderlab.reflections import pair_conditions_check
-from orderlab.spaces import point_closures
+from orderlab.reflections import _stage_step, j_embedding_check, pair_conditions_check
+from orderlab.report import analyze_poset
+from orderlab.spaces import (
+    compact_saturated_sets,
+    irreducible_closed_sets,
+    point_closures,
+    preorder_views,
+)
 from orderlab.xizhao import xizhao_model
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -45,3 +54,28 @@ def test_clear_caches_empties_the_pair_witness_memo():
     assert pair_conditions_check.cache_info().currsize > 0
     _tracer().Tracer().clear_caches()
     assert pair_conditions_check.cache_info().currsize == 0
+
+
+def _package_caches() -> list:
+    """Every lru_cache around a function or class of orderlab alive in
+    the process, found by the collector rather than by module names, so
+    a memo nested in a closure counts too."""
+    return [
+        obj for obj in gc.get_objects()
+        if isinstance(obj, functools._lru_cache_wrapper)
+        and str(getattr(obj, "__module__", "")).startswith("orderlab")
+    ]
+
+
+def test_clear_caches_empties_every_cache_in_the_package():
+    # a memo the bench cannot empty would carry state across rounds
+    analyze_poset(VEE)
+    memos = (preorder_views, point_closures, irreducible_closed_sets,
+             compact_saturated_sets, kf_sets, wd_status, j_embedding_check,
+             _stage_step)
+    assert all(memo.cache_info().currsize for memo in memos)
+    caches = _package_caches()
+    assert len(caches) > len(memos)
+    _tracer().Tracer().clear_caches()
+    left = [(c.__module__, c.__qualname__) for c in caches if c.cache_info().currsize]
+    assert left == []

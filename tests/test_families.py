@@ -20,6 +20,8 @@ from orderlab.fixtures import SIERPINSKI, VEE, discrete
 from orderlab.scott import scott_space
 from orderlab.spaces import (
     ContinuousMap,
+    FinSpace,
+    compact_saturated_sets,
     irreducible_closed_sets,
     point_closures,
 )
@@ -119,13 +121,56 @@ def test_sandwich_over_corpus(small_corpus):
         assert set(wd_status(space)) == irr
 
 
+def _dropping_answers(monkeypatch, drop):
+    """Make the production route forget the compact sets in the `drop` mask."""
+    real = families._meeting_by_minimal_points
+    monkeypatch.setattr(
+        families, "_meeting_by_minimal_points",
+        lambda space: tuple(row & ~drop for row in real(space)),
+    )
+
+
 def test_single_set_sample_catches_a_dropped_member(monkeypatch):
-    real = families._m_single_fast
-    monkeypatch.setattr(families, "_m_single_fast", lambda space, k: real(space, k)[1:])
+    # the first compact set loses its one minimal meeting closed set
+    _dropping_answers(monkeypatch, 0b1)
     kf_sets.cache_clear()
     try:
         with pytest.raises(CheckFailed, match="single-set scan disagrees"):
             kf_sets(scott_space(VEE))
+    finally:
+        kf_sets.cache_clear()
+
+
+def test_single_set_check_covers_every_compact_set_of_a_large_space(monkeypatch):
+    # 255 compact sets times 256 closed sets is past the 20 000 pairs
+    # beyond which only the first and last 24 compact sets used to be
+    # compared; the answer for one in the middle is dropped
+    space = discrete(8)
+    qx = compact_saturated_sets(space)
+    assert len(qx) * len(space.closed) > 20_000
+    middle = len(qx) // 2
+    assert 24 <= middle < len(qx) - 24
+    _dropping_answers(monkeypatch, 1 << middle)
+    kf_sets.cache_clear()
+    try:
+        with pytest.raises(CheckFailed, match="single-set scan disagrees") as info:
+            kf_sets(space)
+    finally:
+        kf_sets.cache_clear()
+    assert info.value.witness == space.labels_of_mask(qx[middle])
+
+
+def test_a_failing_single_set_check_names_the_callers_labels(monkeypatch):
+    # equal preorders share a memo, but a failure is never cached, so
+    # each caller's check runs on its own labels
+    copies = [FinSpace(labels, SIERPINSKI.spec_up) for labels in (("p", "q"), ("x", "y"))]
+    _dropping_answers(monkeypatch, 0b1)
+    kf_sets.cache_clear()
+    try:
+        for space, top in zip(copies, ("q", "y")):
+            with pytest.raises(CheckFailed, match="single-set scan disagrees") as info:
+                kf_sets(space)
+            assert info.value.witness == (top,)
     finally:
         kf_sets.cache_clear()
 

@@ -19,7 +19,13 @@ from orderlab.errors import (
     NotClosedUnderIntersection,
     NotClosedUnderUnion,
 )
-from orderlab.families import _m_single_fast, _minimal_meeting, kf_sets, wd_status
+from orderlab.families import (
+    _meeting_by_lower_covers,
+    _meeting_by_minimal_points,
+    _minimal_meeting,
+    kf_sets,
+    wd_status,
+)
 from orderlab.generate import derive_seed, generate_poset
 from orderlab.posets import (
     bounded_complete_oracle,
@@ -210,10 +216,30 @@ def test_up_set_enumerator_reaches_each_up_set_once(up):
 @SMALL
 def test_single_set_scan_and_meeting_family_on_any_finite_space(space):
     # finite_spaces() yields non-T0 spaces too: minimal points are taken
-    # up to the preorder, and every finite space has KF = Sc
-    for k in compact_saturated_sets(space):
-        assert _m_single_fast(space, k) == _minimal_meeting(space, (k,))
+    # up to the preorder, and every finite space has KF = Sc.  Both
+    # batched routes are read back per compact set and compared with the
+    # per-set brute-force scan.
+    for route in (_meeting_by_minimal_points, _meeting_by_lower_covers):
+        rows = route(space)
+        assert len(rows) == len(space.closed)
+        for i, k in enumerate(compact_saturated_sets(space)):
+            per_set = tuple(c for c, row in zip(space.closed, rows) if row >> i & 1)
+            assert per_set == _minimal_meeting(space, (k,))
     assert kf_sets(space) == point_closures(space)
+
+
+@given(preorders(), preorders())
+@SMALL
+def test_preorder_memos_equal_the_uncached_functions(up_a, up_b):
+    # each space carries labels no other call has used; a memo that
+    # mixed up two preorders would hand one space the other's family
+    a = FinSpace(tuple(f"a{i}" for i in range(len(up_a))), up_a)
+    b = FinSpace(tuple(f"b{i}" for i in range(len(up_b))), up_b)
+    for memo in (point_closures, irreducible_closed_sets, compact_saturated_sets,
+                 kf_sets, wd_status):
+        for space in (a, b, a):
+            assert memo(space) == memo.__wrapped__(space)
+    assert (a.views is b.views) == (up_a == up_b)
 
 
 @given(posets())

@@ -217,8 +217,10 @@ def test_a_broken_up_part_route_fails_every_runner(monkeypatch, route):
 
     monkeypatch.setattr(reflections, "_eta_max_up", broken)
     monkeypatch.setattr(systems, "_eta_max_up", broken)
-    # a witness memoized by an earlier call would skip the broken route
+    # a witness or report memoized by an earlier call would skip the
+    # broken route
     reflections.pair_conditions_check.cache_clear()
+    reflections.j_embedding_check.cache_clear()
     report = analyze_poset(VEE)
     assert report["verdict"] == "FAIL"
     errors = {w["check"]: w["error"] for w in report["witnesses"]}

@@ -11,8 +11,10 @@ from orderlab.errors import (
     NotClosedUnderUnion,
 )
 from orderlab.fixtures import SIERPINSKI, discrete
+from orderlab.families import kf_sets, wd_status
 from orderlab.spaces import (
     ContinuousMap,
+    FinSpace,
     compact_saturated_sets,
     continuous_maps,
     irreducible_closed_sets,
@@ -226,3 +228,33 @@ def test_subfamily_scan_runs_once_per_small_space_and_its_failures_are_raised(mo
     finally:
         compact_saturated_sets.cache_clear()
 
+
+
+PREORDER_MEMOS = (
+    point_closures, irreducible_closed_sets, compact_saturated_sets, kf_sets, wd_status,
+)
+
+
+def _clear_preorder_memos():
+    for memo in PREORDER_MEMOS:
+        memo.cache_clear()
+
+
+def test_equal_preorders_share_one_computation_under_any_labels():
+    up = scott_space(VEE).spec_up
+    first = FinSpace(("p", "q", "r"), up)
+    second = FinSpace(("x", "y", "z"), up)
+    other = discrete(3)  # same size, another preorder
+    assert first.views is second.views is not other.views
+    try:
+        for memo in PREORDER_MEMOS:
+            _clear_preorder_memos()
+            shared = memo(first)
+            before = memo.cache_info()
+            assert memo(second) == shared == memo.__wrapped__(second)
+            after = memo.cache_info()
+            assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+            assert memo(other) == memo.__wrapped__(other) != shared
+            assert memo.cache_info().misses == before.misses + 1
+    finally:
+        _clear_preorder_memos()
