@@ -92,4 +92,3 @@ def bit_slices(family, n: int) -> tuple[int, ...]:
         for p in indices_of(m):
             out[p] |= 1 << j
     return tuple(out)
-

@@ -199,10 +199,9 @@ def _meeting_by_lower_covers(space: FinSpace) -> tuple[int, ...]:
     minus one of its maximal equivalence classes: a closed D strictly
     inside C misses a point of C and, being a down-set, every point above
     it, among them a maximal class of C; so D lies in C minus that class,
-    which is closed.  `meets[j]`, the
-    compact sets meeting closed[j], is built in canonical order, which
-    lists every lower cover first: it is a lower cover's plus the compact
-    sets meeting the class removed.
+    which is closed.  `meets[j]`, the compact sets meeting closed[j], is
+    built in canonical order, which lists every lower cover first: it is
+    a lower cover's plus the compact sets meeting the class removed.
     """
     holds = _compact_slices(space)
     index = space.closed_index

@@ -10,8 +10,8 @@ from orderlab.errors import (
     NotClosedUnderIntersection,
     NotClosedUnderUnion,
 )
-from orderlab.fixtures import SIERPINSKI, discrete
 from orderlab.families import kf_sets, wd_status
+from orderlab.fixtures import SIERPINSKI, discrete
 from orderlab.spaces import (
     ContinuousMap,
     FinSpace,
@@ -227,7 +227,6 @@ def test_subfamily_scan_runs_once_per_small_space_and_its_failures_are_raised(mo
         assert calls == []
     finally:
         compact_saturated_sets.cache_clear()
-
 
 
 PREORDER_MEMOS = (
