@@ -244,6 +244,8 @@ def directed_subsets(poset: FinPoset) -> tuple[tuple[int, int], ...]:
     greatest element, so the enumeration runs over (m, S) with S inside the
     strict down-set of m.  Suprema are still computed by the definitional
     least-upper-bound routine and checked against the greatest element.
+    No production path calls it: the tests and the bench's tracer keep it
+    as a reference enumerator, compared with an `is_directed` scan.
     """
     out = []
     for m in range(poset.n):

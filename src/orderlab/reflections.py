@@ -30,6 +30,7 @@ from .errors import (
 )
 from .families import family_members, kf_sets
 from .posets import FinPoset, validate_poset
+from .scott import scott_space
 from .spaces import (
     ContinuousMap,
     FinSpace,
@@ -42,7 +43,6 @@ from .spaces import (
     irreducible_closed_sets,
     ph_space,
     point_closures,
-    space_from_poset,
     subspace,
 )
 from .xizhao import XiZhaoPoset, e_set, xizhao_model
@@ -529,7 +529,7 @@ def universal_property_smoke(space: FinSpace, kind: str, budget: int = 4) -> Uni
     checked = 0
     for n in range(1, budget + 1):
         for target_poset in all_posets(n):
-            target = space_from_poset(target_poset)
+            target = scott_space(target_poset)
             if kind == "SOBER":
                 ok, _ = is_sober(target)
                 if not ok:

@@ -301,11 +301,6 @@ def specialization_order(space: FinSpace) -> FinPoset:
     return FinPoset(space.labels, space.spec_up)
 
 
-def space_from_poset(poset: FinPoset) -> FinSpace:
-    """Alexandrov space of a poset: opens are exactly the up-sets."""
-    return FinSpace(poset.labels, poset.up)
-
-
 @dataclass(frozen=True)
 class ContinuousMap:
     source: FinSpace

@@ -199,18 +199,19 @@ def test_poset_report_shape_and_values():
 
 
 def test_poset_report_builds_each_scott_space_once(monkeypatch):
-    # every Scott-space build enumerates the directed subsets once
-    import orderlab.scott
+    # every Scott space a pair model holds is built through xizhao's
+    # `scott_space`
+    import orderlab.xizhao
 
     built = []
-    enumerate_directed = orderlab.scott.directed_subsets
+    build = orderlab.xizhao.scott_space
 
     def counting(poset):
         built.append(poset)
-        return enumerate_directed(poset)
+        return build(poset)
 
     xizhao_model.cache_clear()
-    monkeypatch.setattr(orderlab.scott, "directed_subsets", counting)
+    monkeypatch.setattr(orderlab.xizhao, "scott_space", counting)
     analyze_poset(VEE)
     # the model's own space, then the base's for the maximal-point check
     assert built == [xizhao_model(VEE).poset, VEE]

@@ -24,7 +24,6 @@ from orderlab.spaces import (
     make_space,
     ph_space,
     point_closures,
-    space_from_poset,
     specialization_order,
     subspace,
 )
@@ -101,7 +100,7 @@ def test_specialization_round_trip():
     p = specialization_order(SIERPINSKI)
     assert p.labels == ("0", "1")
     assert p.leq(0, 1) and not p.leq(1, 0)
-    assert space_from_poset(p) == SIERPINSKI
+    assert scott_space(p) == SIERPINSKI
 
 
 def test_point_closures_and_irreducibles():
