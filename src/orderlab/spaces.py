@@ -13,6 +13,12 @@ space and a hyperspace's up-part, say) share one computation:
 - the families: `point_closures`, `irreducible_closed_sets` and
   `compact_saturated_sets` here, and the meeting and squeezed families
   in `families`, memoized by `preorder_memo`.
+A hyperspace whose unit is a verified homeomorphism onto a T0 base is
+registered by `ph_space` as a copy of the base's preorder
+(`PreorderViews.copy_of`), and `preorder_memo` transports the base's
+families across the unit instead of recomputing them: the definitional
+routes run once per sobrification, on the base.  The views themselves
+are not transported.
 Values that carry labels, such as `ph_space`'s hyperspaces, stay keyed
 by the labelled space.  Derived spaces (Scott spaces, subspaces,
 maximal-point spaces, hyperspaces) are built from their preorder.
@@ -78,6 +84,9 @@ class PreorderViews:
         self.spec_up = spec_up
         self.n = len(spec_up)
         self.full_mask = (1 << self.n) - 1
+        # (base spec_up, eta) when x -> eta[x] is a verified homeomorphism
+        # from the base's preorder onto this one (set by `ph_space`)
+        self.copy_of: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
     @cached_property
     def opens(self) -> tuple[int, ...]:
@@ -310,6 +319,9 @@ class ContinuousMap:
     def __post_init__(self):
         if len(self.graph) != self.source.n:
             raise CheckFailed("graph length mismatch")
+        for fx in self.graph:
+            if fx not in range(self.target.n):
+                raise CheckFailed("graph leaves the target", (self.graph, fx))
         for w in self.target.opens:
             if self.preimage(w) not in self.source.open_set:
                 raise CheckFailed(
@@ -414,10 +426,25 @@ def preorder_memo(fn):
     Spaces with equal `spec_up` share one computation whatever their
     labels, so `fn` must return masks only.  A miss runs `fn` on the
     caller's own space, so a failing check names the caller's labels,
-    and a failure caches nothing.  `cache_info` and `cache_clear` are
+    and a failure caches nothing.  A miss on a preorder registered as a
+    copy (`PreorderViews.copy_of`) is instead evaluated on a twin: the
+    base's preorder under the caller's labels permuted by `eta`, which
+    hits the base's entry; the result masks are mapped through `eta`
+    and put back in canonical order.  `cache_info` and `cache_clear` are
     those of the underlying `lru_cache`.
     """
-    cached = lru_cache(maxsize=4096)(wraps(fn)(lambda key: fn(key.space)))
+
+    def evaluate(key: _PreorderKey):
+        space = key.space
+        if space.views.copy_of is None:
+            return fn(space)
+        base_up, eta = space.views.copy_of
+        twin = FinSpace(tuple(space.labels[e] for e in eta), base_up)
+        return bits.canon(
+            bits.mask_of(eta[x] for x in bits.indices_of(m)) for m in memo(twin)
+        )
+
+    cached = lru_cache(maxsize=4096)(wraps(fn)(evaluate))
 
     @wraps(fn)
     def memo(space: FinSpace):
@@ -608,7 +635,7 @@ class HyperSpace:
                 out |= 1 << i
         return out
 
-    @property
+    @cached_property
     def eta_map(self) -> ContinuousMap:
         if self.eta is None:
             raise CheckFailed("eta undefined: family lacks the point closures")
@@ -634,7 +661,12 @@ def ph_space(base: FinSpace, members: tuple[int, ...]) -> HyperSpace:
     sets, and the specialization order must be inclusion of members.  When
     the family contains every point closure, the unit x -> cl{x} is
     attached and checked to be a topological and order embedding (for T0
-    bases).
+    bases).  When it is moreover onto (the family is the point closures
+    and nothing else), the unit is a homeomorphism, and the hyperspace's
+    preorder is registered as a copy of the base's (`copy_of`), so its
+    closed-set families are transported from the base's.  A preorder
+    equal to the base's, or either side already a copy, is not
+    registered, so copy chains stay acyclic.
     """
     members = bits.canon(members)
     irr = set(irreducible_closed_sets(base))
@@ -689,5 +721,12 @@ def ph_space(base: FinSpace, members: tuple[int, ...]) -> HyperSpace:
                     in_hyper = bool(space.spec_up[eta[x]] >> eta[y] & 1)
                     if in_base != in_hyper:
                         raise CheckFailed("unit order-embedding failed", (x, y))
+            # the current views of both preorders, not a stale one an
+            # older space may hold after the views cache was emptied
+            views = preorder_views(space.spec_up)
+            if (k == base.n and space.spec_up != base.spec_up
+                    and views.copy_of is None
+                    and preorder_views(base.spec_up).copy_of is None):
+                views.copy_of = (base.spec_up, eta)
         return hyper
     return HyperSpace(space, base, members, eta)

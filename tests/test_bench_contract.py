@@ -13,11 +13,18 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from orderlab import families
 from orderlab.families import kf_sets, wd_status
 from orderlab.fixtures import VEE
-from orderlab.reflections import _stage_step, j_embedding_check, pair_conditions_check
+from orderlab.reflections import (
+    _stage_step,
+    j_embedding_check,
+    pair_conditions_check,
+    sobrification,
+)
 from orderlab.report import analyze_poset
 from orderlab.spaces import (
+    FinSpace,
     compact_saturated_sets,
     irreducible_closed_sets,
     point_closures,
@@ -79,3 +86,31 @@ def test_clear_caches_empties_every_cache_in_the_package():
     _tracer().Tracer().clear_caches()
     left = [(c.__module__, c.__qualname__) for c in caches if c.cache_info().currsize]
     assert left == []
+
+
+def test_clear_caches_forgets_every_copy_registration():
+    # a registration is kept on the views of a preorder, so emptying the
+    # views cache must drop it with them
+    hyper = sobrification(xizhao_model(VEE).sigma)
+    assert hyper.space.views.copy_of is not None
+    _tracer().Tracer().clear_caches()
+    fresh = FinSpace(hyper.space.labels, hyper.space.spec_up)
+    assert fresh.views.copy_of is None
+
+
+def test_the_definitional_meeting_route_runs_once_per_base(monkeypatch):
+    # once for each preorder the report meets that is no registered copy:
+    # the pair model's Scott space and the discrete two-point preorder of
+    # its maximal points; the sobrification of the Scott space reads the
+    # transported values
+    real = families._meeting_by_lower_covers
+    seen = []
+
+    def counted(space):
+        seen.append(space.spec_up)
+        return real(space)
+
+    monkeypatch.setattr(families, "_meeting_by_lower_covers", counted)
+    _tracer().Tracer().clear_caches()
+    analyze_poset(VEE)
+    assert len(seen) == len(set(seen)) == 2

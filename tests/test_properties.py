@@ -27,6 +27,7 @@ from orderlab.families import (
     wd_status,
 )
 from orderlab.generate import derive_seed, generate_poset
+from orderlab.reflections import all_posets, sobrification
 from orderlab.posets import (
     bounded_complete_oracle,
     directed_subsets,
@@ -46,7 +47,10 @@ from orderlab.spaces import (
     make_space,
     ph_space,
     point_closures,
+    preorder_views,
 )
+
+from test_spaces import PREORDER_MEMOS, _clear_preorder_memos
 
 SMALL = settings(max_examples=50, deadline=None)
 
@@ -240,6 +244,70 @@ def test_preorder_memos_equal_the_uncached_functions(up_a, up_b):
         for space in (a, b, a):
             assert memo(space) == memo.__wrapped__(space)
     assert (a.views is b.views) == (up_a == up_b)
+
+
+def _direct(memo, space):
+    """The memoized function computed on `space` itself: with no value
+    memoized and no copy registration, every family it reads is computed
+    on `space` too."""
+    views = space.views
+    saved, views.copy_of = views.copy_of, None
+    _clear_preorder_memos()
+    try:
+        return memo.__wrapped__(space)
+    finally:
+        views.copy_of = saved
+        _clear_preorder_memos()
+
+
+def _transport_matches(hyper) -> bool:
+    """Assert that every preorder memo on the hyperspace, computed from an
+    empty cache (so transported when it is a registered copy), equals the
+    direct computation; return whether it is a registered copy."""
+    space = hyper.space
+    _clear_preorder_memos()
+    values = [memo(space) for memo in PREORDER_MEMOS]
+    for memo, value in zip(PREORDER_MEMOS, values):
+        assert value == _direct(memo, space), memo.__name__
+    return space.views.copy_of is not None
+
+
+def _sobrification_pair(poset):
+    """The sobrification of the poset's Scott space and its own
+    sobrification."""
+    once = sobrification(scott_space(poset))
+    return once, sobrification(once.space)
+
+
+def test_transported_families_equal_the_direct_computation_on_four_points():
+    registered = 0
+    for poset in all_posets(4):
+        once, twice = _sobrification_pair(poset)
+        registered += _transport_matches(once)
+        _transport_matches(twice)
+    # the check is not vacuous: some hyperspace lists its members in
+    # another order than its base's points
+    assert registered
+
+
+@given(posets())
+@SMALL
+def test_transported_families_equal_the_direct_computation(poset):
+    for hyper in _sobrification_pair(poset):
+        _transport_matches(hyper)
+
+
+def test_a_hyperspace_on_its_bases_preorder_is_not_registered():
+    # the closures of a chain list in the chain's own order: registering
+    # the preorder as a copy of itself would send each miss round again.
+    # Fresh caches, so no other base's registration is read.
+    preorder_views.cache_clear()
+    ph_space.cache_clear()
+    chain = validate_poset(("a", "b", "c"), (("a", "b"), ("b", "c")))
+    sigma = scott_space(chain)
+    hyper = sobrification(sigma)
+    assert hyper.space.spec_up == sigma.spec_up
+    assert not _transport_matches(hyper)
 
 
 @given(posets())

@@ -152,6 +152,16 @@ def test_continuous_map_validation():
     assert is_embedding(ident) and is_homeomorphism(ident)
 
 
+@pytest.mark.parametrize("graph", [(5,), (2,), (-1,)])
+def test_a_graph_that_leaves_the_target_is_refused(graph):
+    # an index past the target lies in no target open, so every preimage
+    # check would pass; a negative one is no shift count
+    source = FinSpace(("a",), (1,))
+    target = FinSpace(("x", "y"), (1, 2))
+    with pytest.raises(CheckFailed, match="graph leaves the target"):
+        ContinuousMap(source, target, graph)
+
+
 def test_continuous_maps_enumeration():
     s = SIERPINSKI
     maps = list(continuous_maps(s, s))
@@ -177,6 +187,17 @@ def test_ph_space_laws():
         dia = hyper.diamond(u)
         for i, m in enumerate(hyper.members):
             assert bool(dia >> i & 1) == bool(m & u)
+
+
+def test_the_unit_map_is_built_and_verified_once(monkeypatch):
+    sigma = scott_space(DIAMOND)
+    hyper = ph_space(sigma, irreducible_closed_sets(sigma))
+    first = hyper.eta_map
+    # a second read must not rebuild the map and rescan its continuity
+    monkeypatch.setattr(spaces.ContinuousMap, "__post_init__",
+                        lambda self: pytest.fail("the unit map was rebuilt"))
+    assert hyper.eta_map is first
+    assert first.graph == hyper.eta
 
 
 def test_ph_space_rejects_non_irreducible_members():
