@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 from .cofinite import COFNAT, sobrify_cofnat, wfreflect_cofnat
 from .errors import BudgetExceeded, InputError, OrderLabError
@@ -101,6 +102,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=25)
     add_emit(sp, ("json",))
     return parser
+
+
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first `main` call rather than at import."""
+    return build_parser()
 
 
 def _write(text: str, out_path) -> None:
@@ -281,7 +288,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except BudgetExceeded as exc:

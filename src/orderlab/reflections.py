@@ -13,7 +13,11 @@ one place (`_eta_max_up`) by two routes that are compared there, and
 every runner that needs it reads it from there.  The pair-condition
 witness, the closure-embedding report and each stage step are memoized
 by value on their arguments: their checks run once per distinct
-argument, however many runners ask for them.
+argument, however many runners ask for them.  The closure map with its
+clauses and the two sides of EQ2 are memoized on the families they are
+built over rather than on the kind that names them: on a finite pair
+model Irr = WD and Sc = Irr, so the kinds share one computation, while
+each verdict keeps its kind's name.
 """
 
 from __future__ import annotations
@@ -230,15 +234,34 @@ def j_embedding_check(poset: FinPoset, kind: str = "sober") -> JEmbeddingReport:
     saturation of the image.  Any failure is an implementation bug, so
     failures raise rather than report, and cache nothing.  Memoized by
     value on ``(poset, kind)``: the embed[sober] check and
-    `claim_embed2_check` ask for the same report.
+    `claim_embed2_check` ask for the same report.  The map and its
+    clauses are computed once per pair of families (`_closure_embedding`):
+    on a finite pair model Irr = WD, so the two kinds share them.
     """
     model = xizhao_model(poset)
     if kind not in _REFLECTION_FAMILY:
         raise CheckFailed("unknown reflection kind", kind)
+    maxsub, _incl = model.max_space
+    fam = _REFLECTION_FAMILY[kind]
+    report = JEmbeddingReport(kind, *_closure_embedding(
+        poset, family_members(fam, maxsub), family_members(fam, model.sigma)
+    ))
+    if not (report.embedding and report.square_commutes and report.image_law
+            and report.inverse_law and report.image_saturated):
+        raise CheckFailed("closure-embedding clause failed", report)
+    return report
+
+
+@lru_cache(maxsize=1024)
+def _closure_embedding(
+    poset: FinPoset, fam_max: tuple[int, ...], fam_sigma: tuple[int, ...]
+) -> tuple:
+    """The closure map from the maximal points' hyperspace over `fam_max`
+    to the pair model's over `fam_sigma`, its image mask and the five
+    clauses of `j_embedding_check`, in the order of `JEmbeddingReport`."""
+    model = xizhao_model(poset)
     sigma = model.sigma
     maxsub, incl = model.max_space
-    fam_max = family_members(_REFLECTION_FAMILY[kind], maxsub)
-    fam_sigma = family_members(_REFLECTION_FAMILY[kind], sigma)
     upper = ph_space(sigma, fam_sigma)
     lower = ph_space(maxsub, fam_max)
 
@@ -263,12 +286,7 @@ def j_embedding_check(poset: FinPoset, kind: str = "sober") -> JEmbeddingReport:
         for idx in range(lower.space.n)
     )
     saturated = upper.space.saturation(image_mask) == image_mask
-    report = JEmbeddingReport(
-        kind, jmap, image_mask, embedding, square, image_law, inverse_law, saturated
-    )
-    if not (embedding and square and image_law and inverse_law and saturated):
-        raise CheckFailed("closure-embedding clause failed", report)
-    return report
+    return jmap, image_mask, embedding, square, image_law, inverse_law, saturated
 
 
 # ---------------------------------------------------------------------------
@@ -410,36 +428,43 @@ def _eq0(model) -> EquationVerdict:
     return _verdict("EQ0", set(fam), ordered | eta_nonmax, sigma.labels_of_mask)
 
 
-def _eq2_for(model, g_members: tuple[int, ...], tag: str):
-    """Meeting-family split across a hyperspace pair.
+@lru_cache(maxsize=1024)
+def _eq2_sides(poset: FinPoset, members: tuple[int, ...]):
+    """Both sides of the meeting-family split across the hyperspace pair
+    over `members`, as ((hyper lhs, rhs), (up-part lhs, rhs)).
 
     The up-part of the hyperspace (everything above an embedded maximal
     point) carries its own meeting family; closing its members downward
     and adding the images of principal ideals of non-maximal pairs must
     give the hyperspace's meeting family, and tracing back must give the
-    up-part's.
+    up-part's.  Memoized by value on ``(poset, members)``, as
+    `pair_conditions_check` is: on a finite pair model Sc = Irr, so the
+    two tags of EQ2 ask for the same sides.
     """
+    model = xizhao_model(poset)
     sigma = model.sigma
-    hyper = ph_space(sigma, g_members)
+    hyper = ph_space(sigma, members)
     up_mask = _eta_max_up(model, hyper)
     sub_up, incl_up = subspace(hyper.space, up_mask)
-    kf_y = set(kf_sets(hyper.space))
-    kf_up = set(kf_sets(sub_up))
+    kf_y = frozenset(kf_sets(hyper.space))
+    kf_up = frozenset(kf_sets(sub_up))
     closed_lifts = {hyper.space.closure(incl_up.image(a)) for a in kf_up}
     ideal_images = {
         bits.mask_of(hyper.eta[p] for p in bits.indices_of(sigma.spec_down[i]))
         for i in bits.indices_of(model.nonmax_mask)
     }
-    first = _verdict(
-        f"EQ2[{tag}]/hyper", kf_y, closed_lifts | ideal_images,
-        lambda m: str(sorted(bits.indices_of(m))),
+    traces = frozenset(incl_up.preimage(a) for a in kf_y if a & up_mask)
+    return (kf_y, frozenset(closed_lifts | ideal_images)), (kf_up, traces)
+
+
+def _eq2_for(poset: FinPoset, members: tuple[int, ...], tag: str):
+    """The EQ2 verdicts for one tag, named after it."""
+    describe = lambda m: str(sorted(bits.indices_of(m)))
+    (kf_y, lifted), (kf_up, traces) = _eq2_sides(poset, members)
+    return (
+        _verdict(f"EQ2[{tag}]/hyper", kf_y, lifted, describe),
+        _verdict(f"EQ2[{tag}]/up-part", kf_up, traces, describe),
     )
-    traces = {incl_up.preimage(a) for a in kf_y if a & up_mask}
-    second = _verdict(
-        f"EQ2[{tag}]/up-part", kf_up, traces,
-        lambda m: str(sorted(bits.indices_of(m))),
-    )
-    return first, second
 
 
 EQUATION_NAMES = ("EQ0", "EQ1", "EQ2", "KFSET2", "EQ3")
@@ -464,7 +489,7 @@ def decomposition_check(poset: FinPoset, which: str) -> tuple[EquationVerdict, .
         for tag in ("Sc", "Irr"):
             members = family_members(tag, model.sigma)
             pair_conditions_check(poset, members)  # the pair must qualify
-            out.extend(_eq2_for(model, members, tag))
+            out.extend(_eq2_for(poset, members, tag))
         return tuple(out)
     raise CheckFailed("unknown equation name", which)
 

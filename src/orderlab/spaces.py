@@ -19,9 +19,14 @@ registered by `ph_space` as a copy of the base's preorder
 families across the unit instead of recomputing them: the definitional
 routes run once per sobrification, on the base.  The views themselves
 are not transported.
-Values that carry labels, such as `ph_space`'s hyperspaces, stay keyed
-by the labelled space.  Derived spaces (Scott spaces, subspaces,
-maximal-point spaces, hyperspaces) are built from their preorder.
+Values that carry labels stay keyed by the labelled space: `ph_space`'s
+hyperspaces by ``(base, members)`` and `subspace`'s subspaces with their
+inclusions by ``(space, mask)``.  Derived spaces (Scott spaces,
+subspaces, maximal-point spaces, hyperspaces) are built from their
+preorder.  A `ContinuousMap` scans its target's opens once, at
+construction, and keeps their preimages (`open_preimages`); for an
+inclusion these are the relative topology, so the inclusion's
+continuity scan is also `subspace`'s relative-topology check.
 `make_space` validates an open family given from outside: it checks the
 closure laws, builds the space from the minimal neighbourhoods, and
 compares the enumerated opens with the family.  Saturation is still the
@@ -312,6 +317,12 @@ def specialization_order(space: FinSpace) -> FinPoset:
 
 @dataclass(frozen=True)
 class ContinuousMap:
+    """A map of finite spaces, given by its graph and checked continuous.
+
+    Construction scans the target's opens once: their preimages are kept
+    as `open_preimages`, and each must be open in the source.
+    """
+
     source: FinSpace
     target: FinSpace
     graph: tuple[int, ...]
@@ -322,18 +333,33 @@ class ContinuousMap:
         for fx in self.graph:
             if fx not in range(self.target.n):
                 raise CheckFailed("graph leaves the target", (self.graph, fx))
-        for w in self.target.opens:
-            if self.preimage(w) not in self.source.open_set:
-                raise CheckFailed(
-                    "map not continuous",
-                    (self.graph, self.target.labels_of_mask(w)),
-                )
+        if not self.open_preimages <= self.source.open_set:
+            w = next(w for w in self.target.opens
+                     if self.preimage(w) not in self.source.open_set)
+            raise CheckFailed(
+                "map not continuous",
+                (self.graph, self.target.labels_of_mask(w)),
+            )
+
+    @cached_property
+    def open_preimages(self) -> frozenset:
+        """The preimages of the target's opens (for an inclusion, the
+        relative topology)."""
+        return frozenset(self.preimage(w) for w in self.target.opens)
+
+    @cached_property
+    def fibers(self) -> tuple[int, ...]:
+        """fibers[t] is the mask of the source points sent to target point t."""
+        out = [0] * self.target.n
+        for i, t in enumerate(self.graph):
+            out[t] |= 1 << i
+        return tuple(out)
 
     def preimage(self, target_mask: int) -> int:
+        fibers = self.fibers
         m = 0
-        for i, fi in enumerate(self.graph):
-            if target_mask >> fi & 1:
-                m |= 1 << i
+        for t in bits.indices_of(target_mask & self.image_mask):
+            m |= fibers[t]
         return m
 
     def image(self, source_mask: int) -> int:
@@ -342,9 +368,9 @@ class ContinuousMap:
             m |= 1 << self.graph[i]
         return m
 
-    @property
+    @cached_property
     def image_mask(self) -> int:
-        return self.image(self.source.full_mask)
+        return bits.mask_of(self.graph)
 
 
 def is_injective(f: ContinuousMap) -> bool:
@@ -586,11 +612,17 @@ def is_sober(space: FinSpace):
     return True, tuple(assignment)
 
 
+@lru_cache(maxsize=1024)
 def subspace(space: FinSpace, mask: int) -> tuple[FinSpace, ContinuousMap]:
     """Materialize the subspace on `mask` plus its inclusion map.
 
     The subspace is built from the restricted preorder; its opens must be
     the relative topology, the traces of the ambient opens on `mask`.
+    Those traces are the ambient opens' preimages under the inclusion, so
+    the inclusion's continuity scan lists them (`open_preimages`) and the
+    check compares that family with the subspace's opens: the ambient
+    opens are scanned once.  Memoized by value on ``(space, mask)``; a
+    failing check raises and caches nothing.
     """
     keep = bits.indices_of(mask)
     pos = {old: new for new, old in enumerate(keep)}
@@ -603,9 +635,9 @@ def subspace(space: FinSpace, mask: int) -> tuple[FinSpace, ContinuousMap]:
 
     labels = tuple(space.labels[i] for i in keep)
     sub = FinSpace(labels, tuple(restrict(space.spec_up[i]) for i in keep))
-    if bits.canon(restrict(u) for u in space.opens) != sub.opens:
-        raise CheckFailed("relative topology differs from the restricted preorder")
     incl = ContinuousMap(sub, space, keep)
+    if incl.open_preimages != sub.open_set:
+        raise CheckFailed("relative topology differs from the restricted preorder")
     return sub, incl
 
 

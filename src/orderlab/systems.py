@@ -15,7 +15,9 @@ The classifier panel itself is equality-driven — soberness compares
 irreducible closed sets against point closures, well-filteredness
 compares the minimal-meeting family against point closures, and so on —
 with every flag carrying a witness, and the known implication arrows
-re-validated on every panel.
+re-validated on every panel.  `classify` is memoized by value on its
+space: a pair-model report asks for the panels of the model's Scott
+space and of its maximal points twice each, and each is computed once.
 """
 
 from __future__ import annotations
@@ -276,13 +278,17 @@ def _diff_witness(x: FinSpace, a_name: str, a: frozenset, b_name: str, b: frozen
     return f"{side} contains {label}, {other} does not"
 
 
+@lru_cache(maxsize=1024)
 def classify(x) -> ClassifierPanel:
     """Full flag panel of a space, every flag carrying a witness.
 
     Soberness is computed from the family equality and cross-checked
     against the generic-point definition; the carrier must be T0 for
     the two routes to express the same thing, so non-T0 input is
-    rejected rather than misclassified.
+    rejected rather than misclassified.  Memoized by value: a pair-model
+    report asks for the panels of the model's Scott space and of its
+    maximal points twice each, and the checks run once per distinct
+    space; a rejected or failing input raises and caches nothing.
     """
     if isinstance(x, CofNat):
         data = classify_cofnat()

@@ -85,8 +85,13 @@ class XiZhaoPoset:
                 return m
         raise KeyError(e_base)
 
+    @cached_property
+    def _tops(self) -> dict[int, int]:
+        """Base index of each maximal element e -> index of the pair (e, e)."""
+        return {e: i for i, (x, e) in enumerate(self.pairs) if x == e}
+
     def top_index(self, e_base: int) -> int:
-        return self.pairs.index((e_base, e_base))
+        return self._tops[e_base]
 
     @property
     def nonmax_mask(self) -> int:

@@ -11,11 +11,13 @@ import functools
 import gc
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-from orderlab import families
+from orderlab import families, reflections
 from orderlab.families import kf_sets, wd_status
 from orderlab.fixtures import VEE
+from orderlab.generate import derive_seed, generate_poset
 from orderlab.reflections import (
     _stage_step,
     j_embedding_check,
@@ -29,7 +31,9 @@ from orderlab.spaces import (
     irreducible_closed_sets,
     point_closures,
     preorder_views,
+    subspace,
 )
+from orderlab.systems import classify
 from orderlab.xizhao import xizhao_model
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -114,3 +118,37 @@ def test_the_definitional_meeting_route_runs_once_per_base(monkeypatch):
     _tracer().Tracer().clear_caches()
     analyze_poset(VEE)
     assert len(seen) == len(set(seen)) == 2
+
+
+def _record_arguments(monkeypatch, original) -> list:
+    """Rebind `original` in every loaded orderlab module that holds it to
+    a wrapper that records each call's arguments, as the tracer does."""
+    seen = []
+
+    def recording(*args):
+        seen.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "orderlab" or name.startswith("orderlab."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, recording)
+    return seen
+
+
+def test_a_poset_verdict_builds_each_subspace_and_panel_once(monkeypatch):
+    # a ladder rung: 12 pairs, 103 Scott opens, three maximal elements
+    poset = generate_poset(derive_seed(41, 17), 10)
+    _tracer().Tracer().clear_caches()
+    subspaces = _record_arguments(monkeypatch, subspace)
+    panels = _record_arguments(monkeypatch, classify)
+    assert analyze_poset(poset)["verdict"] == "PASS"
+    assert xizhao_model(poset).poset.n == 12
+    assert subspace.cache_info().misses == len(set(subspaces)) < len(subspaces)
+    # the Scott space and its maximal points, each asked for twice
+    assert classify.cache_info().misses == len(set(panels)) == 2
+    assert len(panels) == 4
+    # Sc = Irr and Irr = WD: one EQ2 pair and one closure map
+    assert reflections._eq2_sides.cache_info().misses == 1
+    assert reflections._closure_embedding.cache_info().misses == 1

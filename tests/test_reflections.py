@@ -221,6 +221,8 @@ def test_a_broken_up_part_route_fails_every_runner(monkeypatch, route):
     # broken route
     reflections.pair_conditions_check.cache_clear()
     reflections.j_embedding_check.cache_clear()
+    reflections._closure_embedding.cache_clear()
+    reflections._eq2_sides.cache_clear()
     report = analyze_poset(VEE)
     assert report["verdict"] == "FAIL"
     errors = {w["check"]: w["error"] for w in report["witnesses"]}

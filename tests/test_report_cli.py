@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from orderlab.cofinite import COFNAT
+from orderlab import cli
 from orderlab.cli import main
 from orderlab.errors import GenerationBudgetExceeded, InputError
 from orderlab.fixtures import DIAMOND, SIERPINSKI, VEE
@@ -469,6 +470,34 @@ def test_cli_classify(instances, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["flags"]["sober"]["value"] is False
     assert payload["flags"]["h_model"]["value"] is True
+
+
+def test_cli_builds_its_parser_once(instances, monkeypatch, capsys):
+    built = []
+
+    def counted():
+        built.append(1)
+        return real()
+
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    assert main(["classify", "--builtin", "cofinite-nat"]) == 0
+    assert main(["xizhao", "--poset", instances["vee"]]) == 0
+    assert len(built) == 1
+    capsys.readouterr()
+    # importing the cli builds nothing: its import time is start-up time
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import orderlab.cli as c; print(c._parser.cache_info().currsize)"],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert probe.stdout.strip() == "0", probe.stderr
 
 
 def test_cli_check_equations(instances, capsys):

@@ -152,6 +152,46 @@ def test_continuous_map_validation():
     assert is_embedding(ident) and is_homeomorphism(ident)
 
 
+def test_subspace_checks_fire_and_a_failure_is_not_cached(monkeypatch):
+    # the traces of DIAMOND's up-sets on {m1, m2, top}: 0, {top},
+    # {m1, top}, {m2, top} and the whole subspace
+    space, mask = scott_space(DIAMOND), 0b1110
+    real = spaces.FinSpace
+    full = (1 << 3) - 1
+    corruptions = {
+        # discrete: every trace stays open, but {m1} is no trace
+        "relative topology differs from the restricted preorder":
+            lambda labels, up: real(labels, tuple(1 << i for i in range(len(up)))),
+        # indiscrete: the trace {top} is not open in the subspace
+        "map not continuous":
+            lambda labels, up: real(labels, (full,) * len(up)),
+    }
+    subspace.cache_clear()
+    for message, corrupt in corruptions.items():
+        monkeypatch.setattr(spaces, "FinSpace", corrupt)
+        for _ in range(2):
+            with pytest.raises(CheckFailed, match=message):
+                subspace(space, mask)
+        assert subspace.cache_info().currsize == 0
+    monkeypatch.undo()
+    sub, incl = subspace(space, mask)
+    assert sub.opens == (0, 0b100, 0b101, 0b110, 0b111)
+    assert incl.open_preimages == sub.open_set
+    assert subspace(space, mask)[1] is incl
+    with pytest.raises(CheckFailed, match="map not continuous"):
+        ContinuousMap(SIERPINSKI, SIERPINSKI, (1, 0))
+
+
+def test_preimage_ors_the_fibers_of_the_target_points():
+    # a non-injective map: both source points go to the top of a chain
+    source = discrete(2)
+    target = scott_space(validate_poset(("a", "b", "c"), (("a", "b"), ("b", "c"))))
+    f = ContinuousMap(source, target, (2, 2))
+    assert f.fibers == (0, 0, 0b11)
+    assert [f.preimage(m) for m in range(8)] == [0, 0, 0, 0, 3, 3, 3, 3]
+    assert f.open_preimages == {0, 0b11}
+
+
 @pytest.mark.parametrize("graph", [(5,), (2,), (-1,)])
 def test_a_graph_that_leaves_the_target_is_refused(graph):
     # an index past the target lies in no target open, so every preimage

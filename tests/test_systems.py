@@ -139,6 +139,17 @@ def test_classify_rejections():
         classify("not a space")
 
 
+def test_a_rejected_space_is_not_cached():
+    indiscrete = make_space(("x", "y"), (0, 3))
+    classify.cache_clear()
+    for _ in range(2):
+        with pytest.raises(PreconditionViolated, match="T0 carrier"):
+            classify(indiscrete)
+    assert classify.cache_info().currsize == 0
+    assert classify(SIERPINSKI) is classify(SIERPINSKI)
+    assert classify.cache_info().misses == 3
+
+
 def test_arrow_checker():
     assert ARROWS == (
         ("sober", "well_filtered"),
