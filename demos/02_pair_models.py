@@ -11,14 +11,7 @@ either they contain a maximum, or they live inside one slice and
 project to a directed set of P.
 """
 
-from orderlab import (
-    VEE,
-    discrete,
-    max_homeo_check,
-    validate_poset,
-    xizhao_model,
-    zhao_filter_model,
-)
+from orderlab import VEE, max_homeo_check, validate_poset, xizhao_model
 
 # The vee poset: one bottom below two incomparable tops.
 print("base:", VEE.labels, "up masks:", VEE.up)
@@ -53,11 +46,3 @@ print("sends:", [
 # A three-element chain gives the degenerate shape: a single slice.
 chain3 = validate_poset(("a", "b", "c"), (("a", "b"), ("b", "c")))
 print("chain model pairs:", xizhao_model(chain3).pairs)
-
-# An independent model for comparison: the poset of open filters of a
-# space's open-set lattice (filters with nonempty intersection, ordered
-# by inclusion).  On a discrete two-point space it produces the same
-# vee shape the pair model produces from the vee poset.
-fm = zhao_filter_model(discrete(2))
-print("filter-model generators:", fm.generators)
-print("filter-model up masks:", fm.poset.up)

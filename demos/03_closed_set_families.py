@@ -6,22 +6,19 @@ Between the point closures S_c and the irreducible closed sets Irr of
 a T0 space sit two more families: KF (closed sets that are minimal
 among those meeting every member of some filtered family of compact
 saturated sets) and WD (fixed by a two-sided squeeze).  All four
-are sandwiched S_c <= KF, WD <= Irr, and each has a checked
-constructor here.
+are sandwiched S_c <= KF, WD <= Irr, and the evaluator `hc` returns
+each one, named by its subset-system id.
 """
 
 from orderlab import (
+    IRR,
+    KF,
+    SC,
     SIERPINSKI,
     VEE,
-    ContinuousMap,
     FilteredFamily,
-    discrete,
-    irr_family,
-    kf_family,
+    hc,
     minimal_closed_meeting,
-    pushforward_family,
-    rudin_refine,
-    sc_family,
     scott_space,
     wd_status,
     xizhao_model,
@@ -37,7 +34,7 @@ def names(space, mask):
 # from their definitions (irreducibility scans, minimality filters,
 # squeeze bounds) and each carries its role tag.
 sigma = scott_space(xizhao_model(VEE).poset)
-for fam in (sc_family(sigma), kf_family(sigma), irr_family(sigma)):
+for fam in (hc(SC, sigma), hc(KF, sigma), hc(IRR, sigma)):
     print(f"{fam.role:4s}", [names(sigma, m) for m in fam.members])
 
 # WD is never computed from its definition: it lies between KF and Irr,
@@ -48,8 +45,9 @@ print("WD  ", [names(sigma, m) for m in wd_status(sigma)])
 # Every family has a proper (whole-carrier-dropping) variant.  On the
 # two-point space with one nontrivial open the whole carrier is itself
 # irreducible, so the starred family is strictly smaller.
-print("Irr  on 2pt:", [names(SIERPINSKI, m) for m in irr_family(SIERPINSKI).members])
-print("Irr* on 2pt:", [names(SIERPINSKI, m) for m in irr_family(SIERPINSKI).starred().members])
+irr = hc(IRR, SIERPINSKI)
+print("Irr  on 2pt:", [names(SIERPINSKI, m) for m in irr.members])
+print("Irr* on 2pt:", [names(SIERPINSKI, m) for m in irr.starred().members])
 
 # The KF ingredients are available directly.  A filtered family of
 # compact saturated sets is validated on construction; the closed sets
@@ -58,18 +56,3 @@ print("Irr* on 2pt:", [names(SIERPINSKI, m) for m in irr_family(SIERPINSKI).star
 fam = FilteredFamily(SIERPINSKI, (0b11, 0b10))
 meeting = minimal_closed_meeting(SIERPINSKI, fam)
 print("minimal closed sets meeting the filter:", [names(SIERPINSKI, m) for m in meeting])
-
-# Refinement: inside a closed set that meets every member of the
-# family there is a smaller closed set that still does and is minimal
-# with that property.
-refined = rudin_refine(SIERPINSKI, fam, 0b11)
-print("refined member:", names(SIERPINSKI, refined))
-
-# Families push forward along continuous maps: the closure of the
-# image of a member is again a member of the same-kind family of the
-# target.  Map the discrete two-point space onto the top of the
-# two-point space with one nontrivial open, and push each kind.
-f = ContinuousMap(discrete(2), SIERPINSKI, (1, 1))
-for kind in ("Sc", "Irr", "KF", "WD"):
-    image = pushforward_family(f, 0b01, kind)
-    print(f"pushforward {kind:3s}: {names(discrete(2), 0b01)} -> {names(SIERPINSKI, image)}")

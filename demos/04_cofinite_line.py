@@ -16,7 +16,6 @@ from orderlab import (
     COFNAT,
     classify_cofnat,
     cofin,
-    coset_algebra,
     fin,
     shen_cofnat,
     sobrify_cofnat,
@@ -29,9 +28,9 @@ from orderlab import (
 a = fin(1, 2, 3)
 b = cofin(2, 5)
 print("a =", a.describe(), "| b =", b.describe())
-print("a ∪ b =", coset_algebra("UNION", a, b).describe())
-print("a ∩ b =", coset_algebra("INTER", a, b).describe())
-print("~a  =", coset_algebra("COMPL", a).describe())
+print("a ∪ b =", a.union(b).describe())
+print("a ∩ b =", a.inter(b).describe())
+print("~a  =", a.complement().describe())
 
 # Openness, closedness and closure in the cofinite topology follow the
 # symbolic representation: open iff empty or cofinite, closed iff

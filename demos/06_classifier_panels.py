@@ -20,9 +20,9 @@ from orderlab import (
     WD,
     classifier_agreement,
     classify,
-    dcpo_model_determined_check,
     hc,
     hmodel_table,
+    j_embedding_check,
     max_point_space,
     proposition_key_check,
     scott_space,
@@ -61,13 +61,13 @@ print("KF agrees with WD here?", table.cell("KF", "WD"),
 report = classifier_agreement(VEE)
 print("preserved flags agree:", report.agree, "on", report.compared)
 
-# Determinacy of a system over one model: closure stability, the pair
-# conditions, and the image law that carries the maximal-part family
-# onto the part of the model family above the embedded maximal points.
-witness = dcpo_model_determined_check(SC, VEE)
-print("SC determined over the vee model:",
-      witness.p1 and witness.p2 and witness.p3,
-      f"({witness.compact_preimages_checked} compact preimages checked)")
+# The image law over one model: closing each irreducible set of the
+# maximal part in the model embeds the maximal part's sobrification in
+# the model's, onto exactly the members above the embedded maximal
+# points, and tracing back recovers the set it came from.
+jrep = j_embedding_check(VEE, "sober")
+print("closure embedding over the vee model:", jrep.embedding,
+      "| image law:", jrep.image_law, "| trace inverse:", jrep.inverse_law)
 
 # The key biconditional, per pair of systems: agreement on the model
 # is equivalent to agreement on its maximal-point part, in the plain

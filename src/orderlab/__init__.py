@@ -12,7 +12,6 @@ from .cofinite import (
     CoSet,
     classify_cofnat,
     cofin,
-    coset_algebra,
     fin,
     shen_cofnat,
     sobrify_cofnat,
@@ -28,12 +27,7 @@ from .errors import (
 from .families import (
     ClosedFamily,
     FilteredFamily,
-    irr_family,
-    kf_family,
     minimal_closed_meeting,
-    pushforward_family,
-    rudin_refine,
-    sc_family,
     wd_status,
 )
 from .fixtures import CHAIN2, DIAMOND, FIXTURE_POSETS, SIERPINSKI, VEE, discrete
@@ -81,12 +75,11 @@ from .systems import (
     WD,
     classifier_agreement,
     classify,
-    dcpo_model_determined_check,
     hc,
     hmodel_table,
     proposition_key_check,
 )
-from .xizhao import XiZhaoPoset, max_homeo_check, xizhao_model, zhao_filter_model
+from .xizhao import XiZhaoPoset, max_homeo_check, xizhao_model
 
 __version__ = "0.1.0"
 
@@ -125,8 +118,6 @@ __all__ = [
     "cofin",
     "compact_saturated_sets",
     "corpus",
-    "coset_algebra",
-    "dcpo_model_determined_check",
     "decomposition_check",
     "derive_seed",
     "discrete",
@@ -134,13 +125,11 @@ __all__ = [
     "generate_poset",
     "hc",
     "hmodel_table",
-    "irr_family",
     "irreducible_closed_sets",
     "is_algebraic_and_dcpo",
     "is_bounded_complete",
     "is_sober",
     "j_embedding_check",
-    "kf_family",
     "load_poset",
     "load_space",
     "make_space",
@@ -153,10 +142,7 @@ __all__ = [
     "poset_dot",
     "poset_to_json",
     "proposition_key_check",
-    "pushforward_family",
-    "rudin_refine",
     "run_suite",
-    "sc_family",
     "scott_space",
     "shen_cofnat",
     "shen_iterate",
@@ -171,5 +157,4 @@ __all__ = [
     "wfreflect_cofnat",
     "window_oracle",
     "xizhao_model",
-    "zhao_filter_model",
 ]

@@ -93,21 +93,6 @@ EMPTY = fin()
 WHOLE = cofin()
 
 
-def coset_algebra(op: str, *args):
-    """Uniform dispatcher over the set algebra, for the CLI and oracles."""
-    if op == "UNION":
-        return args[0].union(args[1])
-    if op == "INTER":
-        return args[0].inter(args[1])
-    if op == "COMPL":
-        return args[0].complement()
-    if op == "SUBSET":
-        return args[0].is_subset(args[1])
-    if op == "MEMBER":
-        return args[1].member(args[0])
-    raise InputError(f"unknown set operation {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # the space itself
 

@@ -60,20 +60,6 @@ class MissingEmptyOrFull(InputError):
         self.which = which
 
 
-class NotT0(InputError):
-    """Two points share every open set; the witness pair is stored."""
-
-    def __init__(self, a, b):
-        super().__init__(f"not T0: points {a!r} and {b!r} are topologically equal")
-        self.pair = (a, b)
-
-
-class NotT1(InputError):
-    def __init__(self, witness):
-        super().__init__(f"not T1: point {witness!r} is not closed")
-        self.witness = witness
-
-
 class FamilyNotIrreducible(InputError):
     def __init__(self, member):
         super().__init__("family member is not an irreducible closed set")

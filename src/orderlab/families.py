@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from . import bits
 from .errors import CheckFailed, InvalidFamily, PreconditionViolated
 from .spaces import (
-    ContinuousMap,
     FinSpace,
     compact_saturated_sets,
     irreducible_closed_sets,
@@ -126,36 +125,6 @@ def minimal_closed_meeting(space: FinSpace, family: FilteredFamily) -> tuple[int
     if full != reduced:
         raise CheckFailed("least-member reduction disagrees with the full scan")
     return full
-
-
-def rudin_refine(space: FinSpace, family: FilteredFamily, c_mask: int) -> int:
-    """Shrink a closed set meeting every member to a minimal such subset.
-
-    Greedy descent through the closed family in canonical order.  The
-    result is verified irreducible and a member of the minimal family.
-    """
-    if c_mask not in space.closed_index:
-        raise InvalidFamily("refinement start is not closed",
-                            space.labels_of_mask(c_mask))
-    if not all(c_mask & k for k in family.members):
-        raise InvalidFamily("refinement start misses a family member")
-    current = c_mask
-    while True:
-        step = None
-        for c in space.closed:
-            if c != current and bits.is_subset(c, current) and c and all(
-                c & k for k in family.members
-            ):
-                step = c
-                break
-        if step is None:
-            break
-        current = step
-    if current not in set(minimal_closed_meeting(space, family)):
-        raise CheckFailed("refined set is not minimal-meeting", current)
-    if current not in set(irreducible_closed_sets(space)):
-        raise CheckFailed("refined set is not irreducible", current)
-    return current
 
 
 def _compact_slices(space: FinSpace) -> list[int]:
@@ -287,18 +256,6 @@ def wd_status(space: FinSpace) -> tuple[int, ...]:
     return irr
 
 
-def sc_family(space: FinSpace) -> ClosedFamily:
-    return ClosedFamily(space, point_closures(space), "Sc")
-
-
-def irr_family(space: FinSpace) -> ClosedFamily:
-    return ClosedFamily(space, irreducible_closed_sets(space), "Irr")
-
-
-def kf_family(space: FinSpace) -> ClosedFamily:
-    return ClosedFamily(space, kf_sets(space), "KF")
-
-
 def family_members(kind: str, space: FinSpace) -> tuple[int, ...]:
     """Members of the named closed-set family of a finite space.
 
@@ -314,13 +271,3 @@ def family_members(kind: str, space: FinSpace) -> tuple[int, ...]:
     if kind == "WD":
         return wd_status(space)
     raise PreconditionViolated(f"unknown family kind {kind!r}")
-
-
-def pushforward_family(f: ContinuousMap, a_mask: int, kind: str) -> int:
-    """Closure of the image of a family member, verified to stay in kind."""
-    if a_mask not in set(family_members(kind, f.source)):
-        raise PreconditionViolated("set is not a member of the source family")
-    image_closure = f.target.closure(f.image(a_mask))
-    if image_closure not in set(family_members(kind, f.target)):
-        raise CheckFailed("pushforward left the family", image_closure)
-    return image_closure

@@ -88,9 +88,6 @@ class FinPoset:
     def is_up_set(self, mask: int) -> bool:
         return self.up_closure(mask) == mask
 
-    def is_down_set(self, mask: int) -> bool:
-        return self.down_closure(mask) == mask
-
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Cover pairs (i, j): i < j with nothing strictly between."""
         out = []
@@ -166,14 +163,6 @@ def maximal_elements(poset: FinPoset) -> int:
     m = 0
     for i in range(poset.n):
         if poset.up[i] == 1 << i:
-            m |= 1 << i
-    return m
-
-
-def minimal_elements(poset: FinPoset) -> int:
-    m = 0
-    for i in range(poset.n):
-        if poset.down[i] == 1 << i:
             m |= 1 << i
     return m
 
@@ -316,17 +305,3 @@ def down_sets(poset: FinPoset) -> tuple[int, ...]:
 def up_sets(poset: FinPoset) -> tuple[int, ...]:
     full = poset.full_mask
     return bits.canon(full & ~d for d in down_sets(poset))
-
-
-def induced_subposet(poset: FinPoset, mask: int) -> tuple[FinPoset, tuple[int, ...]]:
-    """Subposet on the masked elements; returns it plus the index embedding."""
-    keep = bits.indices_of(mask)
-    pos = {old: new for new, old in enumerate(keep)}
-    labels = tuple(poset.labels[i] for i in keep)
-    up = []
-    for old in keep:
-        m = 0
-        for j in bits.indices_of(poset.up[old] & mask):
-            m |= 1 << pos[j]
-        up.append(m)
-    return FinPoset(labels, tuple(up)), keep

@@ -299,7 +299,6 @@ class PairWitness:
     p1: bool
     p2: bool
     p3: bool
-    p4: bool | None
     compact_preimages_checked: int
     witness: tuple | None
 
@@ -367,7 +366,7 @@ def pair_conditions_check(poset: FinPoset, members: tuple[int, ...]) -> PairWitn
         e_set(model, k_mask)  # display vs brute scan compared internally
         checked += 1
 
-    return PairWitness(hyper, p1, p2, p3, None, checked, witness)
+    return PairWitness(hyper, p1, p2, p3, checked, witness)
 
 
 # ---------------------------------------------------------------------------

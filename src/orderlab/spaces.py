@@ -52,10 +52,9 @@ from .errors import (
     MissingEmptyOrFull,
     NotClosedUnderIntersection,
     NotClosedUnderUnion,
-    NotT0,
     UnknownLabel,
 )
-from .posets import FinPoset, check_preorder
+from .posets import check_preorder
 
 
 def _preorder_up_sets(spec_up: tuple[int, ...]) -> tuple[int, ...]:
@@ -308,13 +307,6 @@ def make_space(labels, opens) -> FinSpace:
     return space
 
 
-def specialization_order(space: FinSpace) -> FinPoset:
-    """Specialization order of a T0 space (raises NotT0 with a witness pair)."""
-    if not space.is_t0:
-        raise NotT0(*space.t0_witness)
-    return FinPoset(space.labels, space.spec_up)
-
-
 @dataclass(frozen=True)
 class ContinuousMap:
     """A map of finite spaces, given by its graph and checked continuous.
@@ -377,15 +369,12 @@ def is_injective(f: ContinuousMap) -> bool:
     return len(set(f.graph)) == len(f.graph)
 
 
-def is_relatively_open(f: ContinuousMap) -> bool:
-    """Image of every source open is open in the subspace image."""
-    img = f.image_mask
-    relative_opens = {w & img for w in f.target.opens}
-    return all(f.image(u) in relative_opens for u in f.source.opens)
-
-
 def is_embedding(f: ContinuousMap) -> bool:
-    return is_injective(f) and is_relatively_open(f)
+    """Injective, and the image of each source open is the trace of a
+    target open on the image.  For an injective map that trace is the
+    image of the open's preimage, so the source opens must be exactly the
+    preimages of the target opens (`open_preimages`)."""
+    return is_injective(f) and f.open_preimages == f.source.open_set
 
 
 def is_homeomorphism(f: ContinuousMap) -> bool:
@@ -657,13 +646,6 @@ class HyperSpace:
         out = 0
         for i, m in enumerate(self.members):
             if m & base_mask:
-                out |= 1 << i
-        return out
-
-    def box(self, base_mask: int) -> int:
-        out = 0
-        for i, m in enumerate(self.members):
-            if bits.is_subset(m, base_mask):
                 out |= 1 << i
         return out
 

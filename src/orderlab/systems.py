@@ -36,9 +36,8 @@ from .cofinite import (
     wd_cofnat,
 )
 from .errors import CheckFailed, PreconditionViolated
-from .families import ClosedFamily, family_members, kf_family, wd_status
+from .families import ClosedFamily, family_members, kf_sets, wd_status
 from .posets import FinPoset
-from .reflections import PairWitness, _eta_max_up, pair_conditions_check
 from .spaces import (
     FinSpace,
     irreducible_closed_sets,
@@ -58,7 +57,8 @@ class SubsetSystemId:
 
     The starred form drops the whole carrier from the family it names.
     Starred forms are comparison devices only — they do not themselves
-    form subset systems — so the model-determinacy check rejects them.
+    form subset systems — so the key check takes plain ids and compares
+    the starred forms alongside.
     """
 
     kind: str
@@ -311,7 +311,7 @@ def classify(x) -> ClassifierPanel:
         )
     sc = frozenset(point_closures(x))
     irr = frozenset(irreducible_closed_sets(x))
-    kf = frozenset(kf_family(x).members)
+    kf = frozenset(kf_sets(x))
     wd = frozenset(wd_status(x))
     sober_eq = irr == sc
     sober_def, _evidence = is_sober(x)
@@ -372,68 +372,6 @@ def classifier_agreement(poset: FinPoset) -> AgreementReport:
 
 # ---------------------------------------------------------------------------
 # per-instance theorem checks
-
-
-def _closure_stable(space: FinSpace, members: tuple[int, ...]) -> None:
-    mset = set(members)
-    for m in members:
-        if space.closure(m) not in mset:
-            raise CheckFailed(
-                "family is not closure stable", space.labels_of_mask(m)
-            )
-    if not set(point_closures(space)) <= mset:
-        raise CheckFailed("family misses a point closure")
-    if not mset <= set(irreducible_closed_sets(space)):
-        raise CheckFailed("family exceeds the irreducible closed sets")
-
-
-def dcpo_model_determined_check(
-    system: SubsetSystemId, poset: FinPoset
-) -> PairWitness:
-    """Closure stability, the first two pair conditions, and the image
-    law, for the named system over one pair model.
-
-    The image law sends each member of the maximal-part family to its
-    closure in the model and requires the image to be exactly the upper
-    set of the embedded maximal points inside the hyperspace — computed
-    twice, through the specialization order and through the members
-    meeting the maximal part.
-    """
-    if system.starred:
-        raise PreconditionViolated(
-            "whole-space-dropping variants are not subset systems"
-        )
-    model = xizhao_model(poset)
-    sigma = model.sigma
-    maxsub, incl = model.max_space
-    kind = _FAMILY_KIND[system.kind]
-    fam_sigma = family_members(kind, sigma)
-    fam_max = family_members(kind, maxsub)
-    _closure_stable(sigma, fam_sigma)
-    _closure_stable(maxsub, fam_max)
-
-    base = pair_conditions_check(poset, fam_sigma)
-    hyper = base.hyper
-    j_image = 0
-    for a in fam_max:
-        closed = sigma.closure(incl.image(a))
-        if closed not in hyper.members:
-            raise CheckFailed(
-                "closure left the model family", sigma.labels_of_mask(closed)
-            )
-        if incl.preimage(closed) != a:
-            raise CheckFailed("closure trace differs from its source",
-                              maxsub.labels_of_mask(a))
-        j_image |= 1 << hyper.member_index(closed)
-    up_route = _eta_max_up(model, hyper)
-    p4 = j_image == up_route
-    witness = base.witness
-    if not p4 and witness is None:
-        witness = ("P4", bin(j_image ^ up_route))
-    return PairWitness(
-        hyper, base.p1, base.p2, base.p3, p4,
-        base.compact_preimages_checked, witness,
-    )
 
 
 @dataclass(frozen=True)

@@ -16,18 +16,14 @@ from functools import cached_property, lru_cache
 
 from . import bits
 from .errors import (
-    BudgetExceeded,
     CheckFailed,
     InputError,
     NotAlgebraic,
     NotBoundedComplete,
-    NotT1,
     NotUpperSet,
-    PreconditionViolated,
 )
 from .posets import (
     FinPoset,
-    induced_subposet,
     is_algebraic_and_dcpo,
     is_bounded_complete,
     is_directed,
@@ -78,12 +74,6 @@ class XiZhaoPoset:
         for i, (_, e) in enumerate(self.pairs):
             by_e[e] = by_e.get(e, 0) | 1 << i
         return tuple(sorted(by_e.items()))
-
-    def slice_of(self, e_base: int) -> int:
-        for e, m in self.slice_masks:
-            if e == e_base:
-                return m
-        raise KeyError(e_base)
 
     @cached_property
     def _tops(self) -> dict[int, int]:
@@ -193,32 +183,6 @@ def e_set(model: XiZhaoPoset, a_mask: int) -> int:
     return display
 
 
-def scott_closed_slices(model: XiZhaoPoset, a_mask: int, e_mask: int) -> int:
-    """Union of slicewise pieces of a closed set avoiding the tops in E.
-
-    Requires A Scott closed, E a set of maximal pairs disjoint from A.
-    The returned union is checked to be Scott closed in the subspace on
-    the non-maximal part.
-    """
-    poset = model.poset
-    if not poset.is_down_set(a_mask):
-        raise PreconditionViolated("A is not Scott closed in the pair model")
-    if e_mask & ~model.max_mask:
-        raise PreconditionViolated("E contains non-maximal pairs")
-    if e_mask & a_mask:
-        raise PreconditionViolated("E meets A")
-    union = 0
-    for e, smask in model.slice_masks:
-        if e_mask >> model.top_index(e) & 1:
-            union |= a_mask & smask
-    sub, keep = induced_subposet(poset, model.nonmax_mask)
-    pos = {old: new for new, old in enumerate(keep)}
-    rel = bits.mask_of(pos[i] for i in bits.indices_of(union))
-    if not sub.is_down_set(rel):
-        raise CheckFailed("slicewise union is not closed in the non-maximal part")
-    return union
-
-
 def max_homeo_check(model: XiZhaoPoset) -> ContinuousMap:
     """Homeomorphism (e,e) -> e between the two maximal-point spaces."""
     model_max, _ = model.max_space
@@ -233,96 +197,3 @@ def max_homeo_check(model: XiZhaoPoset) -> ContinuousMap:
     if not is_homeomorphism(f):
         raise CheckFailed("maximal-point spaces are not homeomorphic")
     return f
-
-
-@dataclass(frozen=True)
-class ZhaoFilterModel:
-    space: FinSpace
-    poset: FinPoset
-    filters: tuple[tuple[int, ...], ...]
-    generators: tuple[int, ...]
-
-
-def zhao_filter_model(space: FinSpace, budget: int = 1 << 16) -> ZhaoFilterModel:
-    """Filters of the open lattice with nonempty intersection, by inclusion.
-
-    Only T1 inputs are accepted: every point is only below itself, so the
-    space is discrete and has 2^n opens.  Filters are found by exhaustive
-    subfamily scan over the open lattice, so the budget caps 2^(number of
-    opens), checked before the opens are listed.
-    """
-    for x in range(space.n):
-        if space.spec_down[x] != 1 << x:
-            raise NotT1(space.labels[x])
-    k = 1 << space.n
-    if k >= budget.bit_length():  # 2^k > budget, without building 2^k
-        raise BudgetExceeded(
-            f"open lattice has {k} members; 2^{k} subfamilies exceed {budget}"
-        )
-    opens = space.opens
-    filters = []
-    for sub in range(1, 1 << k):
-        fam = [opens[i] for i in range(k) if sub >> i & 1]
-        inter = space.full_mask
-        for u in fam:
-            inter &= u
-        if not inter:
-            continue
-        fam_set = set(fam)
-        if any(a & b not in fam_set for a in fam for b in fam):
-            continue
-        if any(
-            v not in fam_set
-            for u in fam
-            for v in opens
-            if bits.is_subset(u, v)
-        ):
-            continue
-        filters.append((tuple(sorted(fam, key=bits.subset_key)), inter))
-    filters.sort(key=lambda fg: bits.subset_key(fg[1]))
-    gens = tuple(g for _, g in filters)
-    fams = tuple(f for f, _ in filters)
-    for fam, g in filters:
-        principal = tuple(
-            sorted((u for u in opens if bits.is_subset(g, u)), key=bits.subset_key)
-        )
-        if fam != principal:
-            raise CheckFailed("filter is not principal at its intersection", fam)
-    labels = tuple(
-        "F{" + ",".join(space.labels_of_mask(g)) + "}" for g in gens
-    )
-    n = len(filters)
-    bits.check_carrier(n)
-    up = []
-    for i in range(n):
-        m = 0
-        for j in range(n):
-            if set(fams[i]) <= set(fams[j]):
-                m |= 1 << j
-        up.append(m)
-    for i in range(n):
-        for j in range(n):
-            by_family = bool(up[i] >> j & 1)
-            by_generator = bits.is_subset(gens[j], gens[i])
-            if by_family != by_generator:
-                raise CheckFailed("filter order differs from reverse inclusion")
-    poset = FinPoset(labels, tuple(up))
-    ok, witness = is_bounded_complete(poset)
-    if not ok:
-        raise CheckFailed("filter model is not bounded complete", witness)
-    if not is_algebraic_and_dcpo(poset):
-        raise CheckFailed("filter model is not an algebraic dcpo")
-    model_max, _ = max_point_space(scott_space(poset))
-    singleton_positions = [
-        i for i, g in enumerate(gens) if g.bit_count() == 1
-    ]
-    if bits.mask_of(singleton_positions) != maximal_elements(poset):
-        raise CheckFailed("maximal filters are not the singleton-generated ones")
-    graph = []
-    for lbl in model_max.labels:
-        inner = lbl[2:-1]
-        graph.append(space.index(inner))
-    f = ContinuousMap(model_max, space, tuple(graph))
-    if not is_homeomorphism(f):
-        raise CheckFailed("maximal filters are not homeomorphic to the input")
-    return ZhaoFilterModel(space, poset, fams, gens)

@@ -15,7 +15,6 @@ from orderlab.cofinite import (
     SymFilteredFamily,
     classify_cofnat,
     cofin,
-    coset_algebra,
     eval_symbolic,
     fin,
     irr_cofnat,
@@ -57,16 +56,6 @@ def test_coset_canonical_form():
         CoSet(False, (-1,))
     # constructors normalise duplicates and order
     assert fin(2, 1, 2) == CoSet(False, (1, 2))
-
-
-def test_coset_algebra_dispatch():
-    assert coset_algebra("UNION", fin(1), fin(2)) == fin(1, 2)
-    assert coset_algebra("INTER", cofin(0), cofin(1)) == cofin(0, 1)
-    assert coset_algebra("COMPL", fin(4)) == cofin(4)
-    assert coset_algebra("SUBSET", fin(2), WHOLE) is True
-    assert coset_algebra("MEMBER", 3, fin(3)) is True
-    with pytest.raises(InputError):
-        coset_algebra("XOR", fin(1), fin(2))
 
 
 def test_space_predicates():

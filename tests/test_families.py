@@ -1,30 +1,25 @@
-"""Closed-set families: meeting sets, refinement, the squeeze, pushforward."""
+"""Closed-set families: filtered families, meeting sets, the squeeze, roles."""
 
 import pytest
 
 from orderlab import cofinite, families
-from orderlab.errors import CheckFailed, InvalidFamily, PreconditionViolated
+from orderlab.errors import CheckFailed, InvalidFamily
 from orderlab.families import (
     FilteredFamily,
     family_members,
-    irr_family,
-    kf_family,
     kf_sets,
     minimal_closed_meeting,
-    pushforward_family,
-    rudin_refine,
-    sc_family,
     wd_status,
 )
 from orderlab.fixtures import SIERPINSKI, VEE, discrete
 from orderlab.scott import scott_space
 from orderlab.spaces import (
-    ContinuousMap,
     FinSpace,
     compact_saturated_sets,
     irreducible_closed_sets,
     point_closures,
 )
+from orderlab.systems import IRR, KF, SC, SubsetSystemId, hc
 
 
 def test_filtered_family_validation():
@@ -52,25 +47,15 @@ def test_meeting_sets_frozen():
     assert kf_sets(scott_space(VEE)) == (1, 3, 5)
 
 
-def test_rudin_refine():
-    d = discrete(2)
-    fam = FilteredFamily(d, (3, 1))
-    assert rudin_refine(d, fam, 3) == 1
-    with pytest.raises(InvalidFamily):
-        rudin_refine(SIERPINSKI, FilteredFamily(SIERPINSKI, (2,)), 2)  # not closed
-    with pytest.raises(InvalidFamily):
-        rudin_refine(d, FilteredFamily(d, (1,)), 2)  # start misses the member
-
-
 def test_families_and_roles():
     s = SIERPINSKI
-    assert sc_family(s).members == (1, 3)
-    assert kf_family(s).members == (1, 3)
-    assert irr_family(s).members == (1, 3)
-    starred = irr_family(s).starred()
+    for system in (SC, KF, IRR):
+        assert hc(system, s).members == (1, 3)
+    starred = hc(IRR, s).starred()
     assert starred.members == (1,) and starred.role == "Irr*"
+    assert hc(SubsetSystemId("IRR", True), s) == starred
     d = discrete(2)
-    st = sc_family(d).starred()
+    st = hc(SC, d).starred()
     assert st.members == (1, 2)
 
 
@@ -95,20 +80,6 @@ def test_squeeze_raises_when_its_bounds_differ(monkeypatch):
     monkeypatch.setattr(cofinite, "kf_cofnat", lambda: cofinite.SC_COFNAT)
     with pytest.raises(CheckFailed, match="squeeze bounds differ"):
         cofinite.wd_cofnat()
-
-
-def test_pushforward_keeps_kind():
-    d = discrete(2)
-    s = SIERPINSKI
-    f = ContinuousMap(d, s, (1, 1))
-    assert pushforward_family(f, 1, "Sc") == 3
-    assert pushforward_family(f, 2, "Irr") == 3
-    assert pushforward_family(f, 1, "KF") == 3
-    assert pushforward_family(f, 1, "WD") == 3
-    with pytest.raises(PreconditionViolated):
-        pushforward_family(f, 3, "Sc")  # not a point closure
-    with pytest.raises(PreconditionViolated):
-        pushforward_family(f, 1, "Scc")  # unknown family kind
 
 
 def test_sandwich_over_corpus(small_corpus):

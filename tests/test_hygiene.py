@@ -1,15 +1,20 @@
-"""Every import in the package, the tests and the demos is used, and
-every memo in the package is bounded.
+"""Every import in the package, the tests and the demos is used, every
+memo in the package is bounded, and every public export is used by the
+package itself or is listed with its reason.
 
 An import counts as used when the name it binds is read somewhere in
 the same file.  The package's `__init__.py` is exempt: its imports are
 the public re-exports.  A memo counts as bounded when its `lru_cache`
 declares a positive integer `maxsize`; a long `orderlab search` run
-would otherwise keep every value it ever computed.
+would otherwise keep every value it ever computed.  An export counts as
+used when a module of the package other than `__init__.py` reads its
+name.
 """
 
 import ast
 from pathlib import Path
+
+import orderlab
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -20,6 +25,12 @@ def _sources() -> list[Path]:
     for folder in ("tests", "demos"):
         files += sorted((ROOT / folder).glob("*.py"))
     return files
+
+
+def names_read(source: str) -> set[str]:
+    """Names that `source` reads as plain identifiers."""
+    return {node.id for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,7 +44,7 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 bound[alias.asname or alias.name] = node.lineno
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read = names_read(source)
     return sorted(f"line {line}: {name}" for name, line in bound.items()
                   if name not in read)
 
@@ -105,3 +116,32 @@ def test_every_cache_in_the_package_is_bounded():
         if (unbounded := unbounded_caches(path.read_text()))
     }
     assert found == {}
+
+
+# exports the package itself never reads, each with why it stays public
+UNREAD_EXPORTS = {
+    "SC": "subset-system id for callers; the package names systems by kind",
+    "KF": "subset-system id for callers; the package names systems by kind",
+    "WD": "subset-system id for callers; the package names systems by kind",
+    "IRR": "subset-system id for callers; the package names systems by kind",
+    "SIERPINSKI": "fixture space for the tests and demos",
+    "discrete": "fixture space builder for the tests and demos",
+    "universal_property_smoke": "acceptance criterion 4 checks the reflections with it",
+}
+
+
+def test_the_export_scan_reads_only_loads():
+    source = "a = 1\ndef f(b):\n    return b + c\nclass D: pass\n"
+    assert names_read(source) == {"b", "c"}
+
+
+def test_every_export_is_read_by_the_package_or_listed():
+    read = set()
+    for path in sorted((ROOT / "src" / "orderlab").glob("*.py")):
+        if path.name != "__init__.py":
+            read |= names_read(path.read_text())
+    unread = sorted(set(orderlab.__all__) - read - set(UNREAD_EXPORTS))
+    assert unread == []
+    stale = sorted(n for n in UNREAD_EXPORTS
+                   if n not in orderlab.__all__ or n in read)
+    assert stale == []

@@ -14,13 +14,11 @@ from orderlab.posets import (
     bounded_complete_oracle,
     directed_subsets,
     down_sets,
-    induced_subposet,
     is_algebraic_and_dcpo,
     is_bounded_complete,
     is_directed,
     linear_extension,
     maximal_elements,
-    minimal_elements,
     supremum,
     up_sets,
     upper_bounds,
@@ -58,12 +56,10 @@ def test_up_down_closures():
     assert VEE.down_closure(0b10) == 0b011
     assert VEE.is_up_set(0b110)
     assert not VEE.is_up_set(0b001)
-    assert VEE.is_down_set(0b001)
 
 
 def test_extrema_and_suprema():
     assert maximal_elements(VEE) == 0b110
-    assert minimal_elements(VEE) == 0b001
     assert supremum(DIAMOND, 0b0110) == 3
     assert supremum(VEE, 0b110) is None
     assert upper_bounds(VEE, 0b110) == 0
@@ -129,10 +125,3 @@ def test_up_down_sets_are_duals():
     full = DIAMOND.full_mask
     assert {full & ~u for u in ups} == downs
     assert len(ups) == len(downs)
-
-
-def test_induced_subposet():
-    sub, keep = induced_subposet(DIAMOND, 0b0110)
-    assert sub.labels == ("m1", "m2")
-    assert not sub.leq(0, 1) and not sub.leq(1, 0)
-    assert keep == (1, 2)

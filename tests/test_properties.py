@@ -381,7 +381,10 @@ def test_hyperspace_duality(poset):
     hyper = ph_space(space, irreducible_closed_sets(space))
     all_members = (1 << len(hyper.members)) - 1
     for c in space.closed:
-        assert hyper.diamond(space.full_mask ^ c) == all_members ^ hyper.box(c)
+        box = bits.mask_of(
+            i for i, m in enumerate(hyper.members) if bits.is_subset(m, c)
+        )
+        assert hyper.diamond(space.full_mask ^ c) == all_members ^ box
 
 
 @given(families())

@@ -20,15 +20,16 @@ from orderlab.spaces import (
     irreducible_closed_sets,
     is_embedding,
     is_homeomorphism,
+    is_injective,
     is_sober,
     make_space,
     ph_space,
     point_closures,
-    specialization_order,
     subspace,
 )
 from orderlab.fixtures import DIAMOND, VEE
-from orderlab.posets import up_sets, validate_poset
+from orderlab.posets import FinPoset, up_sets, validate_poset
+from orderlab.reflections import all_posets
 from orderlab.scott import scott_space
 
 
@@ -97,7 +98,7 @@ def test_closure_routes_agree():
 
 
 def test_specialization_round_trip():
-    p = specialization_order(SIERPINSKI)
+    p = FinPoset(SIERPINSKI.labels, SIERPINSKI.spec_up)
     assert p.labels == ("0", "1")
     assert p.leq(0, 1) and not p.leq(1, 0)
     assert scott_space(p) == SIERPINSKI
@@ -150,6 +151,27 @@ def test_continuous_map_validation():
     # identity is a homeomorphism, hence an embedding
     ident = ContinuousMap(s, s, (0, 1))
     assert is_embedding(ident) and is_homeomorphism(ident)
+    # injective and continuous, but {p0} is open in the discrete source
+    # and its image, the closed point, is not the trace of a target open
+    f = ContinuousMap(d, s, (0, 1))
+    assert is_injective(f) and not is_embedding(f)
+
+
+def test_is_embedding_is_the_definition_on_three_point_orders():
+    # the definition: injective, and the image of every source open is
+    # the trace of a target open on the image
+    scotts = [scott_space(p) for p in all_posets(3)]
+    injective_non_embeddings = 0
+    for source in scotts:
+        for target in scotts:
+            for f in continuous_maps(source, target):
+                traces = {w & f.image_mask for w in target.opens}
+                expected = is_injective(f) and all(
+                    f.image(u) in traces for u in source.opens
+                )
+                assert is_embedding(f) == expected, (source, target, f.graph)
+                injective_non_embeddings += is_injective(f) and not expected
+    assert injective_non_embeddings
 
 
 def test_subspace_checks_fire_and_a_failure_is_not_cached(monkeypatch):

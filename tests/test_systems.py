@@ -6,7 +6,7 @@ import pytest
 
 from orderlab.cofinite import COFNAT, IRR_COFNAT
 from orderlab.errors import CheckFailed, PreconditionViolated
-from orderlab.fixtures import CHAIN2, DIAMOND, FIXTURE_POSETS, SIERPINSKI, VEE, discrete
+from orderlab.fixtures import DIAMOND, FIXTURE_POSETS, SIERPINSKI, VEE, discrete
 from orderlab.scott import scott_space
 from orderlab.spaces import make_space
 from orderlab.systems import (
@@ -29,7 +29,6 @@ from orderlab.systems import (
     _check_arrows,
     classifier_agreement,
     classify,
-    dcpo_model_determined_check,
     hc,
     hmodel_table,
     proposition_key_check,
@@ -175,15 +174,6 @@ def test_classifier_agreement_on_fixtures():
         assert rep.agree and rep.compared == PRESERVED_FLAGS
         for name in PRESERVED_FLAGS:
             assert rep.max_panel.flag(name).value == rep.model_panel.flag(name).value
-
-
-def test_model_determinacy_check():
-    for system, poset in ((SC, VEE), (IRR, VEE), (KF, CHAIN2), (WD, DIAMOND)):
-        wit = dcpo_model_determined_check(system, poset)
-        assert wit.p1 and wit.p2 and wit.p3 and wit.p4
-        assert wit.witness is None
-    with pytest.raises(PreconditionViolated):
-        dcpo_model_determined_check(SubsetSystemId("SC", True), VEE)
 
 
 def test_key_biconditionals():

@@ -1,16 +1,9 @@
-"""Pair models over maximal points, and the open-filter model of a T1 space."""
+"""Pair models over maximal points: structure, dichotomy, E-sets, homeomorphism."""
 
 import pytest
 
-from orderlab.errors import (
-    BudgetExceeded,
-    InputError,
-    NotBoundedComplete,
-    NotT1,
-    NotUpperSet,
-    PreconditionViolated,
-)
-from orderlab.fixtures import CHAIN2, DIAMOND, SIERPINSKI, VEE, discrete
+from orderlab.errors import InputError, NotBoundedComplete, NotUpperSet
+from orderlab.fixtures import CHAIN2, DIAMOND, VEE
 from orderlab.posets import FinPoset, is_directed, maximal_elements, validate_poset
 from orderlab.spaces import is_homeomorphism
 from orderlab.xizhao import (
@@ -18,9 +11,7 @@ from orderlab.xizhao import (
     _dichotomy_holds,
     e_set,
     max_homeo_check,
-    scott_closed_slices,
     xizhao_model,
-    zhao_filter_model,
 )
 
 
@@ -33,7 +24,6 @@ def test_vee_model_is_complete_bipartite():
     assert model.max_mask == 0b1010
     assert model.nonmax_mask == 0b0101
     assert model.slice_masks == ((1, 0b0011), (2, 0b1100))
-    assert model.slice_of(2) == 0b1100
     assert model.top_index(1) == 1 and model.top_index(2) == 3
 
 
@@ -102,20 +92,6 @@ def test_e_set_display_matches_scan():
         e_set(model, 0b0001)
 
 
-def test_scott_closed_slices_values_and_guards():
-    model = xizhao_model(VEE)
-    a = 0b0101  # both non-maximal pairs: a Scott closed set avoiding Max
-    assert scott_closed_slices(model, a, 0b1010) == 0b0101
-    assert scott_closed_slices(model, a, 0b0010) == 0b0001
-    assert scott_closed_slices(model, a, 0) == 0
-    with pytest.raises(PreconditionViolated):
-        scott_closed_slices(model, 0b0010, 0b1000)  # A not closed
-    with pytest.raises(PreconditionViolated):
-        scott_closed_slices(model, a, 0b0001)  # E not maximal
-    with pytest.raises(PreconditionViolated):
-        scott_closed_slices(model, model.poset.full_mask, 0b1010)  # E meets A
-
-
 def test_max_homeo_on_fixtures():
     for base in (CHAIN2, VEE, DIAMOND):
         f = max_homeo_check(xizhao_model(base))
@@ -137,21 +113,3 @@ def test_models_over_corpus(small_corpus):
         )
         assert len(model.pairs) == expected
         max_homeo_check(model)
-
-
-def test_filter_model_of_discrete_space():
-    fm = zhao_filter_model(discrete(2))
-    assert fm.generators == (1, 2, 3)
-    assert fm.poset.up == (1, 2, 7)
-    assert fm.poset.labels == ("F{p0}", "F{p1}", "F{p0,p1}")
-    fm3 = zhao_filter_model(discrete(3))
-    # principal filters at the seven nonempty subsets
-    assert len(fm3.generators) == 7
-    assert maximal_elements(fm3.poset) == 0b0000111  # the three singletons
-
-
-def test_filter_model_guards():
-    with pytest.raises(NotT1):
-        zhao_filter_model(SIERPINSKI)
-    with pytest.raises(BudgetExceeded):
-        zhao_filter_model(discrete(3), budget=4)
