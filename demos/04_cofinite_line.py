@@ -14,7 +14,7 @@ explicit windows.
 
 from orderlab import (
     COFNAT,
-    classify_cofnat,
+    classify,
     cofin,
     fin,
     shen_cofnat,
@@ -44,13 +44,13 @@ print("closure(b) =", COFNAT.closure(b).describe())
 expr = ("isclosed", ("inter", ("cofin", (0, 1)), ("fin", (1, 2, 9))))
 print("window oracle:", window_oracle(expr, 16))
 
-# The classification panel for this space: approximation properties
-# hold (every closed set is reachable through the squeeze and the
-# minimal-meeting machinery) while sobriety and well-filteredness
-# fail — the whole line is irreducible but has no generic point.
-panel = classify_cofnat()
-for flag, (value, why) in panel["flags"].items():
-    print(f"  {flag:20s} {str(value):5s} — {why}")
+# The classification panel for this space comes from the same flag
+# table as a finite space's: approximation properties hold (every
+# closed set is reachable through the squeeze and the minimal-meeting
+# machinery) while sobriety and well-filteredness fail — the whole
+# line is irreducible but has no generic point.
+for flag in classify(COFNAT).flags:
+    print(f"  {flag.name:20s} {str(flag.value):5s} — {flag.witness}")
 
 # Sobrification repairs that by adding exactly one point, a generic
 # top whose closure is everything.

@@ -7,7 +7,8 @@ closed-set families rather than asserted: sober (Irr = S_c with unique
 generic points), well_filtered (KF = S_c), rudin / wd_space / wk_space
 (the three approximation properties), their three weak variants
 (equality after dropping the whole carrier), and two agreement flags
-that summarize which families coincide.  The same classifier runs on
+that summarize which families coincide.  One table defines the seven
+family flags, and the same classifier builds the panel from it on
 finite spaces and on the symbolic cofinite line.
 """
 
@@ -38,13 +39,14 @@ for flag in panel.flags:
 
 # The subset systems are first-class ids; the evaluator returns the
 # family a system denotes on a given instance, finite or symbolic.
-print("SC on sigma:", hc(SC, sigma).members)
+print("SC on sigma:", hc(SC, sigma))
 print("IRR on the cofinite line:", hc(IRR, COFNAT).describe())
 
-# On the cofinite line the panel mixes values, and the agreement flags
-# carry their evidence: a flag is True only when some agreeing pair of
-# systems is also known to be genuinely distinct (machine-witnessed or
-# cited), so agreement there is informative rather than vacuous.
+# On the cofinite line, classify(COFNAT) reads the same table.  The
+# panel mixes values, and the agreement flags carry their evidence: a
+# flag is True only when some agreeing pair of systems is also known to
+# be genuinely distinct (machine-witnessed or cited), so agreement there
+# is informative rather than vacuous.
 cof_panel = classify(COFNAT)
 print("cofinite sober:", cof_panel.flag("sober").value,
       "| h_model:", cof_panel.flag("h_model").value)

@@ -10,7 +10,6 @@ from .cofinite import (
     COFNAT,
     CofNat,
     CoSet,
-    classify_cofnat,
     cofin,
     fin,
     shen_cofnat,
@@ -25,7 +24,6 @@ from .errors import (
     OrderLabError,
 )
 from .families import (
-    ClosedFamily,
     FilteredFamily,
     minimal_closed_meeting,
     wd_status,
@@ -88,7 +86,6 @@ __all__ = [
     "CHAIN2",
     "COFNAT",
     "CheckFailed",
-    "ClosedFamily",
     "CofNat",
     "CoSet",
     "ContinuousMap",
@@ -114,7 +111,6 @@ __all__ = [
     "claim_embed2_check",
     "classifier_agreement",
     "classify",
-    "classify_cofnat",
     "cofin",
     "compact_saturated_sets",
     "corpus",

@@ -23,9 +23,8 @@ from .io import (
     space_to_json,
 )
 from .fixtures import FIXTURE_POSETS
-from .reflections import decomposition_check, sobrification, wf_reflection
+from .reflections import EQUATION_NAMES, decomposition_check, sobrification, wf_reflection
 from .report import (
-    EQUATION_WHICH,
     RunConfig,
     analyze_poset,
     analyze_space,
@@ -224,7 +223,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_check_equations(args) -> int:
     which = parse_which(args.which)
-    names = tuple(w for w in which if w in EQUATION_WHICH)
+    names = tuple(w for w in which if w in EQUATION_NAMES)
     if not names:
         raise InputError("check-equations needs equation selectors")
     if args.poset:

@@ -6,6 +6,13 @@ enumerating an infinite carrier.  This space is the workbench's built-in
 separating example: it is not sober and not well-filtered, yet every
 irreducible closed set arises from a filtered compact family.
 
+The four family evaluators (`sc_cofnat`, `irr_cofnat`, `kf_cofnat`,
+`wd_cofnat`) take no arguments; each re-checks its family on a fixed
+sample of points.  `families.family_members` picks them by kind, and
+`systems.classify` builds this space's panel from the same flag table
+as a finite space's, with `sober_by_generic_points` as the second route
+to soberness.
+
 Filtered families are restricted to two schemas — a single compact
 saturated set, and the family of all nonempty cofinite sets — which
 suffice for every claim made about this space.  Arbitrary symbolic
@@ -242,15 +249,15 @@ def irreducible_coset(s: CoSet) -> bool:
     return len(s.support) == 1
 
 
-def sc_cofnat(sample: int = 12) -> SymClosedFamily:
+def sc_cofnat() -> SymClosedFamily:
     """Point closures: all singletons, sampled against the closure map."""
-    for n in range(sample):
+    for n in range(12):
         if COFNAT.closure(fin(n)) != fin(n) or not SC_COFNAT.contains(fin(n)):
             raise CheckFailed("point-closure sample failed", n)
     return SC_COFNAT
 
 
-def irr_cofnat(sample: int = 6) -> SymClosedFamily:
+def irr_cofnat() -> SymClosedFamily:
     """Irreducible closed sets, with the shape analysis sampled.
 
     Every two-point closed set must fail irreducibility and every
@@ -259,10 +266,10 @@ def irr_cofnat(sample: int = 6) -> SymClosedFamily:
     """
     import itertools
 
-    for a, b in itertools.combinations(range(sample), 2):
+    for a, b in itertools.combinations(range(6), 2):
         if irreducible_coset(fin(a, b)):
             raise CheckFailed("two-point set claimed irreducible", (a, b))
-    for n in range(sample):
+    for n in range(6):
         if not irreducible_coset(fin(n)):
             raise CheckFailed("singleton claimed reducible", n)
     if not irreducible_coset(WHOLE):
@@ -324,38 +331,18 @@ def wd_cofnat() -> SymClosedFamily:
     return irr
 
 
-def classify_cofnat() -> dict:
-    """Flag panel from family equalities, with per-flag witness notes.
+def sober_by_generic_points() -> bool:
+    """Soberness by its definition, apart from the family equality.
 
-    Soberness is additionally checked directly: the whole line is
-    irreducible but no point closure reaches it, so the equality route
-    and the generic-point route must agree.
+    The whole line is irreducible, and a generic point would need its
+    closure to be the whole line — but every point closes to its own
+    singleton.  So soberness fails exactly when the whole line is in the
+    irreducible family.
     """
-    sc, irr, kf, wd = sc_cofnat(), irr_cofnat(), kf_cofnat(), wd_cofnat()
-    # Direct route: the whole line is irreducible, and a generic point
-    # would need its closure to be the whole line — but every point
-    # closes to its own singleton.  So soberness fails exactly when the
-    # whole line is in the irreducible family.
     has_generic_for_whole = any(
         COFNAT.point_closure(n) == WHOLE for n in range(8)
     )
-    sober_by_generic = not irr.contains(WHOLE) or has_generic_for_whole
-    if (irr == sc) != sober_by_generic:
-        raise CheckFailed("soberness routes disagree")
-    flags = {
-        "sober": (irr == sc, "the whole line is irreducible with no generic point"),
-        "well_filtered": (kf == sc, "the whole line is a minimal meeting set but not a point closure"),
-        "rudin": (kf == irr, "meeting family equals irreducible family"),
-        "wd_space": (wd == irr, "squeeze: meeting family equals irreducible family"),
-        "wk_space": (kf == wd, "meeting family equals the squeezed family"),
-        "weak_sober": (irr.starred() == sc.starred(), "proper irreducibles are exactly the singletons"),
-        "weak_well_filtered": (kf.starred() == sc.starred(), "proper meeting sets are exactly the singletons"),
-    }
-    return {
-        "space": COFNAT.name,
-        "families": {"Sc": sc, "Irr": irr, "KF": kf, "WD": wd},
-        "flags": flags,
-    }
+    return not irr_cofnat().contains(WHOLE) or has_generic_for_whole
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +418,7 @@ class CofnatSobrification:
                 return False
         return self.closure(SobSet(WHOLE, False)) == self.point_closure_top()
 
-    def eta_embedding_check(self, sample: int = 8) -> bool:
+    def eta_embedding_check(self) -> bool:
         """The base space sits inside as the non-top part.
 
         Every nonempty open up here is a cofinite block of naturals with
@@ -441,7 +428,7 @@ class CofnatSobrification:
         """
         if not self.is_open(SobSet(EMPTY, False)):
             return False
-        for k in range(sample):
+        for k in range(8):
             up = SobSet(cofin(*range(k)), True)
             if not self.is_open(up):
                 return False
@@ -450,7 +437,7 @@ class CofnatSobrification:
         # a nonempty open missing the top point would have open trace
         # complementing a closed finite set wrongly; confirm none exists
         return not any(
-            self.is_open(SobSet(cofin(*range(k)), False)) for k in range(sample)
+            self.is_open(SobSet(cofin(*range(k)), False)) for k in range(8)
         )
 
 
@@ -625,7 +612,7 @@ def window_oracle(expr, n: int) -> dict:
     return {"agree": sym == win, "symbolic": sym, "window": win}
 
 
-def kf_witness_window_check(n: int = 10) -> bool:
+def kf_witness_window_check() -> bool:
     """Window view of the whole-line witness family.
 
     Every nonempty finite closed set drawn from the window misses the
@@ -633,6 +620,7 @@ def kf_witness_window_check(n: int = 10) -> bool:
     """
     import itertools
 
+    n = 10
     universe = range(n)
     for size in (1, 2, 3):
         for combo in itertools.combinations(universe, size):
@@ -646,18 +634,18 @@ def kf_witness_window_check(n: int = 10) -> bool:
     return all(not WHOLE.inter(m).is_empty for m in members)
 
 
-def random_coset_expr(rng, depth: int, bound: int = 8):
+def random_coset_expr(rng, depth: int):
     """Seeded random expression tree for the disagreement search."""
     if depth == 0:
-        support = tuple(sorted(rng.sample(range(bound), rng.randint(0, 3))))
+        support = tuple(sorted(rng.sample(range(8), rng.randint(0, 3))))
         return ("cofin" if rng.random() < 0.5 else "fin", support)
     pick = rng.random()
     if pick < 0.35:
-        return ("union", random_coset_expr(rng, depth - 1, bound),
-                random_coset_expr(rng, depth - 1, bound))
+        return ("union", random_coset_expr(rng, depth - 1),
+                random_coset_expr(rng, depth - 1))
     if pick < 0.7:
-        return ("inter", random_coset_expr(rng, depth - 1, bound),
-                random_coset_expr(rng, depth - 1, bound))
+        return ("inter", random_coset_expr(rng, depth - 1),
+                random_coset_expr(rng, depth - 1))
     if pick < 0.85:
-        return ("compl", random_coset_expr(rng, depth - 1, bound))
-    return ("closure", random_coset_expr(rng, depth - 1, bound))
+        return ("compl", random_coset_expr(rng, depth - 1))
+    return ("closure", random_coset_expr(rng, depth - 1))

@@ -100,12 +100,6 @@ class PreconditionViolated(InputError):
         super().__init__(f"precondition violated: {reason}")
 
 
-class AmbientNotSober(InputError):
-    def __init__(self, witness=None):
-        super().__init__("ambient space for the stage iteration is not sober")
-        self.witness = witness
-
-
 class SandwichViolated(InputError):
     """A hyperspace family is outside the required point-closure/irreducible band."""
 

@@ -17,8 +17,9 @@ family are memoized by specialization preorder (`preorder_memo`), so
 spaces that differ only in their labels share them.
 
 `family_members` is the one mapping from a kind name (Sc, Irr, KF, WD) to
-its family on a finite space; every runner that names a family by kind
-goes through it.
+its family, on a finite space (canonical masks) and on the cofinite line
+(a `SymClosedFamily`); every runner, evaluator and report that names a
+family by kind goes through it.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import bits
+from .cofinite import CofNat, irr_cofnat, kf_cofnat, sc_cofnat, wd_cofnat
 from .errors import CheckFailed, InvalidFamily, PreconditionViolated
 from .spaces import (
     FinSpace,
@@ -35,22 +37,6 @@ from .spaces import (
     point_closures,
     preorder_memo,
 )
-
-
-@dataclass(frozen=True)
-class ClosedFamily:
-    space: FinSpace
-    members: tuple[int, ...]
-    role: str
-
-    def starred(self) -> "ClosedFamily":
-        """Drop the whole carrier from the family (the proper version)."""
-        full = self.space.full_mask
-        return ClosedFamily(
-            self.space,
-            tuple(m for m in self.members if m != full),
-            self.role + "*",
-        )
 
 
 @dataclass(frozen=True)
@@ -256,18 +242,24 @@ def wd_status(space: FinSpace) -> tuple[int, ...]:
     return irr
 
 
-def family_members(kind: str, space: FinSpace) -> tuple[int, ...]:
-    """Members of the named closed-set family of a finite space.
+def family_members(kind: str, x):
+    """The named closed-set family of a finite space, as canonical masks,
+    or of the cofinite line, as a `SymClosedFamily`.
 
     Sc: point closures; Irr: irreducible closed sets; KF: the meeting
     family; WD: the squeezed image-closure family.
     """
+    cofnat = isinstance(x, CofNat)
+    if not cofnat and not isinstance(x, FinSpace):
+        raise PreconditionViolated(
+            f"families live on a finite space or the cofinite line, not {type(x).__name__}"
+        )
     if kind == "Sc":
-        return point_closures(space)
+        return sc_cofnat() if cofnat else point_closures(x)
     if kind == "Irr":
-        return irreducible_closed_sets(space)
+        return irr_cofnat() if cofnat else irreducible_closed_sets(x)
     if kind == "KF":
-        return kf_sets(space)
+        return kf_cofnat() if cofnat else kf_sets(x)
     if kind == "WD":
-        return wd_status(space)
+        return wd_cofnat() if cofnat else wd_status(x)
     raise PreconditionViolated(f"unknown family kind {kind!r}")

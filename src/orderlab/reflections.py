@@ -26,12 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import bits
-from .errors import (
-    AmbientNotSober,
-    BudgetExceeded,
-    CheckFailed,
-    SandwichViolated,
-)
+from .errors import BudgetExceeded, CheckFailed, SandwichViolated
 from .families import family_members, kf_sets
 from .posets import FinPoset, validate_poset
 from .scott import scott_space
@@ -102,7 +97,7 @@ def finite_collapse_check(space: FinSpace) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# stage iteration inside a sober ambient
+# stage iteration inside the sobrification
 
 
 @dataclass(frozen=True)
@@ -135,38 +130,16 @@ def _stage_step(ambient: FinSpace, current: int) -> int:
     return out
 
 
-def shen_iterate(
-    x0: FinSpace,
-    ambient: FinSpace | None = None,
-    start_mask: int | None = None,
-) -> ReflectionChain:
+def shen_iterate(x0: FinSpace) -> ReflectionChain:
     """Iterate the stage rule until it stabilizes.
 
-    By default the ambient is the sobrification of the input with the
-    point-map image as stage zero; a custom sober ambient may be given
-    together with the stage-zero mask, in which case the stage-zero
-    subspace must be a copy of the input.  The stabilized stage is
-    verified well-filtered; with the default ambient it must appear by
-    stage one and fill the whole sobrification.
+    The ambient is the sobrification of the input, with the point-map
+    image as stage zero.  The stabilized stage is verified well-filtered;
+    it must appear by stage one and fill the whole sobrification.
     """
-    default_ambient = ambient is None
-    if default_ambient:
-        hyper = sobrification(x0)
-        ambient = hyper.space
-        start_mask = hyper.eta_image_mask
-    else:
-        ok, _ = is_sober(ambient)
-        if not ok:
-            raise AmbientNotSober("stage iteration needs a sober ambient")
-        if start_mask is None:
-            raise AmbientNotSober("a custom ambient needs an explicit stage zero")
-        sub, _ = subspace(ambient, start_mask)
-        if not any(
-            is_homeomorphism(f) for f in continuous_maps(x0, sub)
-        ):
-            raise CheckFailed("stage zero is not a copy of the input")
-
-    stages = [start_mask]
+    hyper = sobrification(x0)
+    ambient = hyper.space
+    stages = [hyper.eta_image_mask]
     while True:
         nxt = _stage_step(ambient, stages[-1])
         if nxt == stages[-1]:
@@ -176,11 +149,10 @@ def shen_iterate(
     final_sub, _ = subspace(ambient, stages[-1])
     if kf_sets(final_sub) != point_closures(final_sub):
         raise CheckFailed("stabilized stage is not well-filtered")
-    if default_ambient:
-        if index > 1:
-            raise CheckFailed("finite input stabilized after stage one", index)
-        if stages[-1] != ambient.full_mask:
-            raise CheckFailed("finite input did not fill its sobrification")
+    if index > 1:
+        raise CheckFailed("finite input stabilized after stage one", index)
+    if stages[-1] != ambient.full_mask:
+        raise CheckFailed("finite input did not fill its sobrification")
     return ReflectionChain(ambient, tuple(stages), index)
 
 

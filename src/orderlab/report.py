@@ -19,7 +19,6 @@ from . import bits
 from .cofinite import (
     COFNAT,
     CofNat,
-    classify_cofnat,
     kf_witness_window_check,
     shen_cofnat,
     sobrify_cofnat,
@@ -30,7 +29,6 @@ from .families import (
     FilteredFamily,
     family_members,
     minimal_closed_meeting,
-    wd_status,
 )
 from .fixtures import FIXTURE_POSETS
 from .generate import corpus
@@ -42,6 +40,7 @@ from .posets import (
     up_sets,
 )
 from .reflections import (
+    EQUATION_NAMES,
     claim_embed2_check,
     decomposition_check,
     finite_collapse_check,
@@ -51,7 +50,6 @@ from .reflections import (
     sobrification,
 )
 from .spaces import (
-    FinSpace,
     compact_saturated_sets,
     irreducible_closed_sets,
     point_closures,
@@ -67,9 +65,8 @@ from .xizhao import max_homeo_check, xizhao_model
 
 SCHEMA = "orderlab-report/1"
 
-EQUATION_WHICH = ("EQ0", "EQ1", "EQ2", "KFSET2", "EQ3")
 CHECK_WHICH = ("pair", "embed", "shen", "embed2", "key", "agreement", "classify")
-ALL_WHICH = EQUATION_WHICH + CHECK_WHICH
+ALL_WHICH = EQUATION_NAMES + CHECK_WHICH
 
 
 def parse_which(text: str) -> tuple[str, ...]:
@@ -124,14 +121,19 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, ensure_ascii=True, separators=(",", ":"))
 
 
-def _family_payload(space: FinSpace) -> dict:
-    as_labels = lambda fam: [list(space.labels_of_mask(m)) for m in fam]
+def _family_payload(space) -> dict:
+    cofnat = isinstance(space, CofNat)
+    show = (lambda fam: fam.describe()) if cofnat else (
+        lambda fam: [list(space.labels_of_mask(m)) for m in fam]
+    )
     payload = {
-        kind: as_labels(family_members(kind, space)) for kind in ("Sc", "Irr", "KF")
+        kind: show(family_members(kind, space)) for kind in ("Sc", "Irr", "KF", "WD")
     }
-    # the squeeze makes the value and both of its bounds one family
-    wd = as_labels(wd_status(space))
-    payload["WD"] = {"status": "DETERMINED", "value": wd, "lower": wd, "upper": wd}
+    wd = payload["WD"]
+    payload["WD"] = {"status": "DETERMINED", "value": wd}
+    if not cofnat:
+        # the squeeze makes the value and both of its bounds one family
+        payload["WD"].update(lower=wd, upper=wd)
     return payload
 
 
@@ -204,7 +206,7 @@ def analyze_poset(poset: FinPoset, which: tuple[str, ...] = ALL_WHICH) -> dict:
         "timing": None,
     }
     for name in which:
-        if name not in EQUATION_WHICH:
+        if name not in EQUATION_NAMES:
             continue
         verdicts = _guard(report, name, lambda n=name: decomposition_check(poset, n))
         for v in verdicts or ():
@@ -343,21 +345,15 @@ def analyze_space(space, which: tuple[str, ...] = ALL_WHICH) -> dict:
 
 
 def _analyze_cofnat() -> dict:
-    data = classify_cofnat()
     sob = sobrify_cofnat()
     _, same = wfreflect_cofnat()
     ch = shen_cofnat()
-    panel = classify(COFNAT)
     report = {
         "schema": SCHEMA,
         "verdict": "PASS",
         "input": {"kind": "builtin", "name": "cofinite-nat"},
-        "families": {
-            k: ({"status": "DETERMINED", "value": v.describe()} if k == "WD"
-                else v.describe())
-            for k, v in data["families"].items()
-        },
-        "panel": panel_payload(panel),
+        "families": _family_payload(COFNAT),
+        "panel": panel_payload(classify(COFNAT)),
         "checks": {
             "sobrify": {"added_points": list(sob.added_points)},
             "wfreflect": {"same_as_sobrification": same},

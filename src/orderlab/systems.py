@@ -2,22 +2,28 @@
 
 Four closed-set assignments drive this module: point closures, the
 minimal-meeting family, the squeezed image-closure family, and the
-irreducible closed sets.  Each gets a named evaluator usable on finite
-carriers and on the cofinite line alike, a whole-space-dropping
-variant, and a seat in the pairwise agreement matrix behind the
-model-agreement flags.  Agreement between two assignments only counts
-toward those flags when the assignments are known to differ somewhere:
-three separations are recomputed on the cofinite line every time, two
-rest on a recorded infinite example and are marked as citations, and
-one pair has no recorded separation at all and never counts.
+irreducible closed sets.  A subset-system id names one of them; `hc`
+reads its family, plain or with the whole carrier dropped, from
+`families.family_members` on a finite carrier and on the cofinite line
+alike.  The pairwise agreement matrices of the four (`hmodel_table`,
+memoized by value) hold every family equality this module decides:
+the model-agreement flags, the classifier panel and the key
+biconditional all read their cells.  Agreement between two assignments
+only counts toward the model-agreement flags when the assignments are
+known to differ somewhere: three separations are recomputed on the
+cofinite line every time, two rest on a recorded infinite example and
+are marked as citations, and one pair has no recorded separation at all
+and never counts.
 
-The classifier panel itself is equality-driven — soberness compares
-irreducible closed sets against point closures, well-filteredness
-compares the minimal-meeting family against point closures, and so on —
-with every flag carrying a witness, and the known implication arrows
-re-validated on every panel.  `classify` is memoized by value on its
-space: a pair-model report asks for the panels of the model's Scott
-space and of its maximal points twice each, and each is computed once.
+The classifier panel is one table, `FLAGS`: each flag names the family
+that must equal another — soberness compares irreducible closed sets
+against point closures, well-filteredness the minimal-meeting family
+against point closures, and so on — and how its witness reads on either
+carrier.  Soberness is cross-checked against the generic-point route,
+and the known implication arrows are re-validated on every panel.
+`classify` is memoized by value on its space: a pair-model report asks
+for the panels of the model's Scott space and of its maximal points
+twice each, and each is computed once.
 """
 
 from __future__ import annotations
@@ -26,29 +32,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
-from .cofinite import (
-    COFNAT,
-    CofNat,
-    classify_cofnat,
-    irr_cofnat,
-    kf_cofnat,
-    sc_cofnat,
-    wd_cofnat,
-)
+from .cofinite import COFNAT, CofNat, sober_by_generic_points
 from .errors import CheckFailed, PreconditionViolated
-from .families import ClosedFamily, family_members, kf_sets, wd_status
+from .families import family_members
 from .posets import FinPoset
-from .spaces import (
-    FinSpace,
-    irreducible_closed_sets,
-    is_sober,
-    point_closures,
-)
+from .spaces import FinSpace, is_sober
 from .xizhao import xizhao_model
 
-SYSTEM_KINDS = ("SC", "KF", "WD", "IRR")
-# system kind -> the `family_members` kind it names
+# system kind -> the `family_members` kind it names; reports spell both
 _FAMILY_KIND = {"SC": "Sc", "KF": "KF", "WD": "WD", "IRR": "Irr"}
+SYSTEM_KINDS = tuple(_FAMILY_KIND)
 
 
 @dataclass(frozen=True)
@@ -80,29 +73,14 @@ IRR = SubsetSystemId("IRR")
 
 
 def hc(system: SubsetSystemId, x):
-    """Closed-set family of the named system on a finite space or the
-    cofinite line: a `ClosedFamily` or a `SymClosedFamily`."""
+    """Closed-set family of the named system on a finite space (canonical
+    masks) or the cofinite line (a `SymClosedFamily`)."""
+    fam = family_members(_FAMILY_KIND[system.kind], x)
+    if not system.starred:
+        return fam
     if isinstance(x, CofNat):
-        fam = {
-            "SC": sc_cofnat,
-            "KF": kf_cofnat,
-            "WD": wd_cofnat,
-            "IRR": irr_cofnat,
-        }[system.kind]()
-        return fam.starred() if system.starred else fam
-    if not isinstance(x, FinSpace):
-        raise PreconditionViolated(
-            "evaluators take a finite space or the cofinite line, "
-            f"not {type(x).__name__}"
-        )
-    kind = _FAMILY_KIND[system.kind]
-    fam = ClosedFamily(x, family_members(kind, x), kind)
-    return fam.starred() if system.starred else fam
-
-
-def _value(fam):
-    """A family in a form that compares by its members."""
-    return frozenset(fam.members) if isinstance(fam, ClosedFamily) else fam
+        return fam.starred()
+    return tuple(m for m in fam if m != x.full_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -143,15 +121,14 @@ def verify_distinctness_registry() -> MappingProxyType:
     for pair, (grade, _note) in DISTINCTNESS.items():
         h, g = sorted(pair)
         if grade == MACHINE:
-            hv, gv = (_value(hc(SubsetSystemId(k), COFNAT)) for k in (h, g))
-            if hv == gv:
+            if hc(SubsetSystemId(h), COFNAT) == hc(SubsetSystemId(g), COFNAT):
                 raise CheckFailed("machine separation failed", (h, g))
         out[(h, g)] = grade
     return MappingProxyType(out)
 
 
 def _matrix(x, starred: bool):
-    values = [_value(hc(SubsetSystemId(k, starred), x)) for k in SYSTEM_KINDS]
+    values = [hc(SubsetSystemId(k, starred), x) for k in SYSTEM_KINDS]
     return tuple(tuple(a == b for b in values) for a in values)
 
 
@@ -204,9 +181,13 @@ def _space_name(x) -> str:
     return "{" + ",".join(x.labels) + "}"
 
 
+@lru_cache(maxsize=1024)
 def hmodel_table(x) -> HModelTable:
     """Pairwise agreement matrices (plain and starred) over the four
-    built-in assignments, plus the two derived agreement flags."""
+    built-in assignments, plus the two derived agreement flags.
+
+    Memoized by value: the panel and the key check of a pair-model
+    report read the tables of the model and of its maximal part."""
     verify_distinctness_registry()
     plain = _matrix(x, False)
     star = _matrix(x, True)
@@ -222,17 +203,34 @@ def hmodel_table(x) -> HModelTable:
 # ---------------------------------------------------------------------------
 # the classifier panel
 
-FLAG_ORDER = (
-    "sober",
-    "well_filtered",
-    "rudin",
-    "wd_space",
-    "wk_space",
-    "weak_sober",
-    "weak_well_filtered",
-    "h_model",
-    "weak_h_model",
+# flag, the system whose family must equal the next one's, whether the
+# whole carrier is dropped from both first, the two families' names in a
+# finite space's witness, and the cofinite line's witness note
+FLAGS = (
+    ("sober", IRR, SC, False,
+     ("irreducible closed sets", "point closures"),
+     "the whole line is irreducible with no generic point"),
+    ("well_filtered", KF, SC, False,
+     ("minimal-meeting sets", "point closures"),
+     "the whole line is a minimal meeting set but not a point closure"),
+    ("rudin", KF, IRR, False,
+     ("minimal-meeting sets", "irreducible closed sets"),
+     "meeting family equals irreducible family"),
+    ("wd_space", WD, IRR, False,
+     ("image-closure family", "irreducible closed sets"),
+     "squeeze: meeting family equals irreducible family"),
+    ("wk_space", WD, KF, False,
+     ("image-closure family", "minimal-meeting sets"),
+     "meeting family equals the squeezed family"),
+    ("weak_sober", IRR, SC, True,
+     ("proper irreducibles", "proper point closures"),
+     "proper irreducibles are exactly the singletons"),
+    ("weak_well_filtered", KF, SC, True,
+     ("proper minimal-meeting sets", "proper point closures"),
+     "proper meeting sets are exactly the singletons"),
 )
+
+FLAG_ORDER = tuple(row[0] for row in FLAGS) + ("h_model", "weak_h_model")
 
 # src -> dst: whenever src holds, dst must hold.  Exactly these five.
 ARROWS = (
@@ -268,77 +266,53 @@ def _check_arrows(panel: ClassifierPanel) -> None:
             )
 
 
-def _diff_witness(x: FinSpace, a_name: str, a: frozenset, b_name: str, b: frozenset) -> str:
-    if a == b:
-        return f"{a_name} = {b_name}"
+def _flag(x, table: HModelTable, row) -> Flag:
+    """One row of `FLAGS` as a cell of the space's agreement table; the
+    witness is the row's note on the cofinite line, and on a finite space
+    the equality or the least member only one of the two families holds."""
+    name, h, g, starred, (a_name, b_name), note = row
+    equal = table.cell(h.kind, g.kind, starred)
+    if isinstance(x, CofNat):
+        return Flag(name, equal, note)
+    if equal:
+        return Flag(name, True, f"{a_name} = {b_name}")
+    a, b = (set(hc(SubsetSystemId(s.kind, starred), x)) for s in (h, g))
     diff = min(a ^ b)
-    side = a_name if diff in a else b_name
-    other = b_name if diff in a else a_name
+    side, other = (a_name, b_name) if diff in a else (b_name, a_name)
     label = "{" + ",".join(x.labels_of_mask(diff)) + "}"
-    return f"{side} contains {label}, {other} does not"
+    return Flag(name, False, f"{side} contains {label}, {other} does not")
 
 
 @lru_cache(maxsize=1024)
 def classify(x) -> ClassifierPanel:
-    """Full flag panel of a space, every flag carrying a witness.
+    """Full flag panel of a finite space or the cofinite line, every flag
+    carrying a witness.
 
-    Soberness is computed from the family equality and cross-checked
-    against the generic-point definition; the carrier must be T0 for
-    the two routes to express the same thing, so non-T0 input is
-    rejected rather than misclassified.  Memoized by value: a pair-model
-    report asks for the panels of the model's Scott space and of its
-    maximal points twice each, and the checks run once per distinct
-    space; a rejected or failing input raises and caches nothing.
+    Each flag of `FLAGS` is a cell of the space's agreement table.
+    Soberness is cross-checked against the generic-point definition; a
+    finite carrier must be T0 for the two routes to express the same
+    thing, so non-T0 input is rejected rather than misclassified.
+    Memoized by value: a pair-model report asks for the panels of the
+    model's Scott space and of its maximal points twice each, and the
+    checks run once per distinct space; a rejected or failing input
+    raises and caches nothing.
     """
-    if isinstance(x, CofNat):
-        data = classify_cofnat()
-        flags = [Flag(n, v, w) for n, (v, w) in data["flags"].items()]
-        table = hmodel_table(x)
-        panel = ClassifierPanel(
-            data["space"], tuple(flags) + (table.h_model, table.weak_h_model)
-        )
-        _check_arrows(panel)
-        return panel
-    if not isinstance(x, FinSpace):
-        raise PreconditionViolated(
-            "classifier takes a finite space or the cofinite line, "
-            f"not {type(x).__name__}"
-        )
-    if not x.is_t0:
+    if isinstance(x, FinSpace) and not x.is_t0:
         raise PreconditionViolated(
             "classifier panel needs a T0 carrier; points "
             f"{x.t0_witness} share a closure"
         )
-    sc = frozenset(point_closures(x))
-    irr = frozenset(irreducible_closed_sets(x))
-    kf = frozenset(kf_sets(x))
-    wd = frozenset(wd_status(x))
-    sober_eq = irr == sc
-    sober_def, _evidence = is_sober(x)
-    if sober_eq != sober_def:
-        raise CheckFailed("soberness routes disagree on " + _space_name(x))
-    full = x.full_mask
-    star = lambda fam: frozenset(m for m in fam if m != full)
-    flags = (
-        Flag("sober", sober_eq,
-             _diff_witness(x, "irreducible closed sets", irr, "point closures", sc)),
-        Flag("well_filtered", kf == sc,
-             _diff_witness(x, "minimal-meeting sets", kf, "point closures", sc)),
-        Flag("rudin", kf == irr,
-             _diff_witness(x, "minimal-meeting sets", kf, "irreducible closed sets", irr)),
-        Flag("wd_space", wd == irr,
-             _diff_witness(x, "image-closure family", wd, "irreducible closed sets", irr)),
-        Flag("wk_space", wd == kf,
-             _diff_witness(x, "image-closure family", wd, "minimal-meeting sets", kf)),
-        Flag("weak_sober", star(irr) == star(sc),
-             _diff_witness(x, "proper irreducibles", star(irr), "proper point closures", star(sc))),
-        Flag("weak_well_filtered", star(kf) == star(sc),
-             _diff_witness(x, "proper minimal-meeting sets", star(kf), "proper point closures", star(sc))),
-    )
     table = hmodel_table(x)
+    flags = tuple(_flag(x, table, row) for row in FLAGS)
     panel = ClassifierPanel(
-        _space_name(x), flags + (table.h_model, table.weak_h_model)
+        table.space_name, flags + (table.h_model, table.weak_h_model)
     )
+    if isinstance(x, CofNat):
+        sober_def = sober_by_generic_points()
+    else:
+        sober_def, _evidence = is_sober(x)
+    if panel.flag("sober").value != sober_def:
+        raise CheckFailed("soberness routes disagree on " + panel.space_name)
     _check_arrows(panel)
     return panel
 
@@ -403,19 +377,16 @@ def proposition_key_check(
             "pass plain system ids; starred forms are checked alongside"
         )
     model = xizhao_model(poset)
-    sigma = model.sigma
     maxsub, _incl = model.max_space
-
-    def eq_pair(space: FinSpace) -> tuple[bool, bool]:
-        hv = frozenset(family_members(_FAMILY_KIND[h.kind], space))
-        gv = frozenset(family_members(_FAMILY_KIND[g.kind], space))
-        full = space.full_mask
-        return hv == gv, hv - {full} == gv - {full}
-
-    model_eq, star_model_eq = eq_pair(sigma)
-    max_eq, star_max_eq = eq_pair(maxsub)
+    on_model = hmodel_table(model.sigma)
+    on_max = hmodel_table(maxsub)
     verdict = KeyVerdict(
-        h.label, g.label, model_eq, max_eq, star_model_eq, star_max_eq
+        h.label,
+        g.label,
+        on_model.cell(h.kind, g.kind),
+        on_max.cell(h.kind, g.kind),
+        on_model.cell(h.kind, g.kind, True),
+        on_max.cell(h.kind, g.kind, True),
     )
     if not (verdict.biconditional and verdict.star_biconditional):
         raise CheckFailed("key biconditional failed", verdict)

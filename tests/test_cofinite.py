@@ -13,7 +13,6 @@ from orderlab.cofinite import (
     CoSet,
     SymClosedFamily,
     SymFilteredFamily,
-    classify_cofnat,
     cofin,
     eval_symbolic,
     fin,
@@ -26,6 +25,7 @@ from orderlab.cofinite import (
     random_coset_expr,
     sc_cofnat,
     shen_cofnat,
+    sober_by_generic_points,
     sobrify_cofnat,
     wd_cofnat,
     wfreflect_cofnat,
@@ -33,6 +33,7 @@ from orderlab.cofinite import (
     SobSet,
 )
 from orderlab.errors import CheckFailed, InputError, PreconditionViolated
+from orderlab.systems import FLAGS, classify
 
 
 def test_coset_algebra_frozen():
@@ -134,9 +135,9 @@ def test_squeeze_is_determined():
 
 
 def test_classification_panel():
-    out = classify_cofnat()
-    assert out["space"] == "cofinite-nat"
-    flags = {name: value for name, (value, _note) in out["flags"].items()}
+    panel = classify(COFNAT)
+    assert panel.space_name == "cofinite-nat"
+    flags = {f.name: f.value for f in panel.flags[:len(FLAGS)]}
     assert flags == {
         "sober": False,
         "well_filtered": False,
@@ -146,6 +147,9 @@ def test_classification_panel():
         "weak_sober": True,
         "weak_well_filtered": True,
     }
+    # each witness is the table's note for the cofinite line
+    assert [f.witness for f in panel.flags[:len(FLAGS)]] == [row[-1] for row in FLAGS]
+    assert sober_by_generic_points() is False
 
 
 def test_sobrification():
@@ -202,7 +206,7 @@ def test_window_bounds():
 
 
 def test_whole_line_witness_window():
-    assert kf_witness_window_check(10)
+    assert kf_witness_window_check()
 
 
 def test_random_expression_agreement():

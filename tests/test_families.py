@@ -3,7 +3,8 @@
 import pytest
 
 from orderlab import cofinite, families
-from orderlab.errors import CheckFailed, InvalidFamily
+from orderlab.cofinite import COFNAT, IRR_COFNAT
+from orderlab.errors import CheckFailed, InvalidFamily, PreconditionViolated
 from orderlab.families import (
     FilteredFamily,
     family_members,
@@ -50,13 +51,14 @@ def test_meeting_sets_frozen():
 def test_families_and_roles():
     s = SIERPINSKI
     for system in (SC, KF, IRR):
-        assert hc(system, s).members == (1, 3)
-    starred = hc(IRR, s).starred()
-    assert starred.members == (1,) and starred.role == "Irr*"
-    assert hc(SubsetSystemId("IRR", True), s) == starred
-    d = discrete(2)
-    st = hc(SC, d).starred()
-    assert st.members == (1, 2)
+        assert hc(system, s) == (1, 3)
+    assert hc(SubsetSystemId("IRR", True), s) == (1,)
+    assert hc(SubsetSystemId("SC", True), discrete(2)) == (1, 2)
+    assert family_members("Irr", COFNAT) == IRR_COFNAT
+    with pytest.raises(PreconditionViolated, match="unknown family kind"):
+        family_members("Q", s)
+    with pytest.raises(PreconditionViolated, match="not int"):
+        family_members("Sc", 42)
 
 
 def test_wd_status_determined_on_finite_spaces():

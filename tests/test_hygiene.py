@@ -120,10 +120,6 @@ def test_every_cache_in_the_package_is_bounded():
 
 # exports the package itself never reads, each with why it stays public
 UNREAD_EXPORTS = {
-    "SC": "subset-system id for callers; the package names systems by kind",
-    "KF": "subset-system id for callers; the package names systems by kind",
-    "WD": "subset-system id for callers; the package names systems by kind",
-    "IRR": "subset-system id for callers; the package names systems by kind",
     "SIERPINSKI": "fixture space for the tests and demos",
     "discrete": "fixture space builder for the tests and demos",
     "universal_property_smoke": "acceptance criterion 4 checks the reflections with it",

@@ -1,17 +1,11 @@
 """Reflections, stage iteration, the closure embedding, and the equations."""
 
 import dataclasses
-import sys
 
 import pytest
 
 from orderlab import bits, reflections
-from orderlab.errors import (
-    AmbientNotSober,
-    BudgetExceeded,
-    CheckFailed,
-    SandwichViolated,
-)
+from orderlab.errors import BudgetExceeded, CheckFailed, SandwichViolated
 from orderlab.fixtures import DIAMOND, FIXTURE_POSETS, SIERPINSKI, VEE, discrete
 from orderlab.reflections import (
     EQUATION_NAMES,
@@ -32,7 +26,6 @@ from orderlab.spaces import (
     FinSpace,
     HyperSpace,
     is_homeomorphism,
-    make_space,
     member_label,
     point_closures,
 )
@@ -54,21 +47,6 @@ def test_stage_iteration_default_ambient():
         chain = shen_iterate(space)
         assert chain.stabilization_index == 0
         assert chain.stages == (chain.ambient.full_mask,)
-
-
-def test_stage_iteration_custom_ambient():
-    ambient = scott_space(DIAMOND)
-    chain = shen_iterate(SIERPINSKI, ambient=ambient, start_mask=0b1001)
-    assert chain.stabilization_index == 0
-    assert chain.stages == (0b1001,)
-    indiscrete = make_space(("x", "y"), (0, 3))
-    with pytest.raises(AmbientNotSober):
-        shen_iterate(SIERPINSKI, ambient=indiscrete, start_mask=1)
-    with pytest.raises(AmbientNotSober):
-        shen_iterate(SIERPINSKI, ambient=ambient)  # stage zero missing
-    with pytest.raises(CheckFailed):
-        # the two middle points form an antichain, not a copy of the input
-        shen_iterate(SIERPINSKI, ambient=ambient, start_mask=0b0110)
 
 
 def test_j_embedding_frozen_images():
@@ -208,30 +186,16 @@ BROKEN_UP_PART_ROUTES = {
 }
 
 
-def _clear_package_caches() -> None:
-    """Empty every lru_cache that a module of orderlab holds, found as
-    `Tracer.clear_caches` in bench/tracer.py finds them, so a memo added
-    on a runner's path cannot return a value verified before the route
-    was broken."""
-    for name, module in list(sys.modules.items()):
-        if name == "orderlab" or name.startswith("orderlab."):
-            for value in vars(module).values():
-                for fn in (value, getattr(value, "__wrapped__", None)):
-                    if hasattr(fn, "cache_clear"):
-                        fn.cache_clear()
-                        break
-
-
 @pytest.mark.parametrize("route", sorted(BROKEN_UP_PART_ROUTES))
-def test_a_broken_up_part_route_fails_every_runner(monkeypatch, route):
+def test_a_broken_up_part_route_fails_every_runner(monkeypatch, empty_caches, route):
     real = reflections._eta_max_up
 
     def broken(model, hyper):
         return real(model, BROKEN_UP_PART_ROUTES[route](hyper))
 
+    # `empty_caches`: a value memoized by an earlier call would skip the
+    # broken route
     monkeypatch.setattr(reflections, "_eta_max_up", broken)
-    # a value memoized by an earlier call would skip the broken route
-    _clear_package_caches()
     report = analyze_poset(VEE)
     assert report["verdict"] == "FAIL"
     errors = {w["check"]: w["error"] for w in report["witnesses"]}

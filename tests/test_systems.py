@@ -4,11 +4,13 @@ import itertools
 
 import pytest
 
+from orderlab import cofinite, families, systems
 from orderlab.cofinite import COFNAT, IRR_COFNAT
 from orderlab.errors import CheckFailed, PreconditionViolated
 from orderlab.fixtures import DIAMOND, FIXTURE_POSETS, SIERPINSKI, VEE, discrete
 from orderlab.scott import scott_space
 from orderlab.spaces import make_space
+from orderlab.xizhao import xizhao_model
 from orderlab.systems import (
     ARROWS,
     CITED,
@@ -44,16 +46,12 @@ def test_system_ids():
 
 
 def test_evaluator_on_finite_spaces():
-    assert hc(SC, SIERPINSKI).members == (1, 3)
-    assert hc(SC, SIERPINSKI).role == "Sc"
-    assert hc(KF, discrete(2)).members == (1, 2)
-    assert hc(IRR, SIERPINSKI).members == (1, 3)
-    wd = hc(WD, SIERPINSKI)
-    assert wd.members == (1, 3) and wd.role == "WD"
-    starred = hc(SubsetSystemId("IRR", True), SIERPINSKI)
-    assert starred.members == (1,) and starred.role == "Irr*"
-    starred = hc(SubsetSystemId("WD", True), SIERPINSKI)
-    assert starred.members == (1,) and starred.role == "WD*"
+    assert hc(SC, SIERPINSKI) == (1, 3)
+    assert hc(KF, discrete(2)) == (1, 2)
+    assert hc(IRR, SIERPINSKI) == (1, 3)
+    assert hc(WD, SIERPINSKI) == (1, 3)
+    assert hc(SubsetSystemId("IRR", True), SIERPINSKI) == (1,)
+    assert hc(SubsetSystemId("WD", True), SIERPINSKI) == (1,)
     with pytest.raises(PreconditionViolated):
         hc(SC, 42)
 
@@ -191,3 +189,44 @@ def test_classify_over_corpus(small_corpus):
     for poset in small_corpus[:30]:
         panel = classify(scott_space(poset))
         assert all(f.value is True for f in panel.flags)
+
+
+# The cross-checks below compare the shared agreement table across the two
+# spaces of a pair model and across both carriers; each is made to fail.
+
+
+def test_soberness_routes_that_disagree_fail_the_panel(monkeypatch, empty_caches):
+    monkeypatch.setattr(systems, "is_sober", lambda x: (False, None))
+    with pytest.raises(CheckFailed, match="soberness routes disagree on"):
+        classify(SIERPINSKI)
+    monkeypatch.setattr(systems, "sober_by_generic_points", lambda: True)
+    with pytest.raises(CheckFailed, match="soberness routes disagree on cofinite-nat"):
+        classify(COFNAT)
+
+
+def test_a_perturbed_family_of_the_maximal_part_fails_the_key_check(
+    monkeypatch, empty_caches
+):
+    maxsub, _incl = xizhao_model(VEE).max_space
+    real = systems.family_members
+
+    def perturbed(kind, x):
+        fam = real(kind, x)
+        return fam[1:] if kind == "KF" and x == maxsub else fam
+
+    monkeypatch.setattr(systems, "family_members", perturbed)
+    with pytest.raises(CheckFailed, match="key biconditional failed") as info:
+        proposition_key_check(VEE, SC, KF)
+    verdict = info.value.witness
+    assert verdict.model_equal and not verdict.max_equal
+    assert proposition_key_check(VEE, SC, IRR).biconditional
+
+
+def test_machine_separation_fails_when_the_cofinite_line_stops_separating(
+    monkeypatch, empty_caches
+):
+    monkeypatch.setattr(families, "sc_cofnat", cofinite.irr_cofnat)
+    with pytest.raises(CheckFailed, match="machine separation failed"):
+        verify_distinctness_registry()
+    with pytest.raises(CheckFailed, match="machine separation failed"):
+        classify(COFNAT)
