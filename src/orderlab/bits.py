@@ -8,11 +8,18 @@ whether member j contains that point, so one int operation tests every
 member at once.  Ints grow as needed; `MAX_CARRIER` is a declared input
 budget (a larger carrier raises `BudgetExceeded`, exit code 3), not a word
 size.
+
+Exhaustive scans over every subset of a small carrier use truth tables
+instead (Knuth, TAOCP 4A, 7.1.3): a 2^n-bit int whose bit s says whether
+a formula holds for the subset with mask s.  `subset_columns(n)[x]` is
+the table of "x is a member", and Boolean operations on tables evaluate
+a formula for all 2^n subsets at once.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from .errors import BudgetExceeded
 
@@ -92,3 +99,41 @@ def bit_slices(family, n: int) -> tuple[int, ...]:
         for p in indices_of(m):
             out[p] |= 1 << j
     return tuple(out)
+
+
+@lru_cache(maxsize=32)
+def subset_columns(n: int) -> tuple[int, ...]:
+    """Entry x is the 2^n-bit truth table of "x is a member": bit s is
+    set when x is in the subset with mask s."""
+    width = 1 << n
+    out = []
+    for x in range(n):
+        run = 1 << x
+        table = ((1 << run) - 1) << run  # one period: 2^x clear, 2^x set
+        period = 2 * run
+        while period < width:
+            table |= table << period
+            period *= 2
+        out.append(table)
+    return tuple(out)
+
+
+def meets_table(mask: int, n: int) -> int:
+    """Truth table of "the subset meets `mask`"."""
+    cols = subset_columns(n)
+    out = 0
+    for x in indices_of(mask):
+        out |= cols[x]
+    return out
+
+
+def directed_table(up: tuple[int, ...], n: int) -> int:
+    """Truth table of "the subset is directed" for the order with up-masks
+    `up`: nonempty, and each unordered pair of distinct members has an
+    upper bound among the members (a member is its own bound)."""
+    cols = subset_columns(n)
+    out = (1 << (1 << n)) - 2
+    for a in range(n):
+        for b in range(a + 1, n):
+            out &= ~(cols[a] & cols[b]) | meets_table(up[a] & up[b], n)
+    return out

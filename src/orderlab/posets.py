@@ -252,29 +252,62 @@ def directed_subsets(poset: FinPoset) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def _algebraicity_tables(poset: FinPoset):
+    """Truth tables over every subset (`bits.subset_columns`) for the
+    algebraicity check: `(directed, lub, compact)`.
+
+    `directed` holds the directed subsets and `lub[u]` those whose least
+    upper bound is u: u bounds s when s meets nothing outside down[u],
+    and it is least when no bound of s lies outside up[u].  `compact` is
+    the mask of the compact elements: k is compact when every directed
+    set with a supremum at or above k meets up[k].  It is None when some
+    directed subset has no supremum.
+    """
+    n = poset.n
+    every = (1 << (1 << n)) - 1
+    directed = bits.directed_table(poset.up, n)
+    bounded_by = [every & ~bits.meets_table(poset.full_mask & ~poset.down[u], n)
+                  for u in range(n)]
+    lub = []
+    for u in range(n):
+        least = bounded_by[u]
+        for v in bits.indices_of(poset.full_mask & ~poset.up[u]):
+            least &= ~bounded_by[v]
+        lub.append(least)
+    has_sup = 0
+    for table in lub:
+        has_sup |= table
+    if directed & ~has_sup:
+        return directed, tuple(lub), None
+    compact = 0
+    for k in range(n):
+        sup_above = 0
+        for u in bits.indices_of(poset.up[k]):
+            sup_above |= lub[u]
+        if not directed & sup_above & ~bits.meets_table(poset.up[k], n):
+            compact |= 1 << k
+    return directed, tuple(lub), compact
+
+
 def is_algebraic_and_dcpo(poset: FinPoset) -> bool:
     """Definitional check: directed-complete and algebraic.
 
     Every directed subset must have a supremum, and every element must be
     the supremum of its (directed) set of compact elements below it.  On
     finite posets both always hold; the value is computed, not assumed.
+    Every one of the 2^n subsets is covered, as one bit of the truth
+    tables of `_algebraicity_tables`; the last check reads, for each
+    element x, the bit of its compact down-set in `directed` and in
+    `lub[x]`.  The tables are 2^n bits wide, hence the 16-element cap.
     """
     if poset.n > 16:
         raise BudgetExceeded("algebraicity scan limited to 16 elements")
-    directed = []
-    for s in range(1, 1 << poset.n):
-        if is_directed(poset, s):
-            sup = supremum(poset, s)
-            if sup is None:
-                return False
-            directed.append((s, sup))
-    compact = 0
-    for k in range(poset.n):
-        if all(d & poset.up[k] for d, sup in directed if poset.leq(k, sup)):
-            compact |= 1 << k
+    directed, lub, compact = _algebraicity_tables(poset)
+    if compact is None:
+        return False
     for x in range(poset.n):
         kx = compact & poset.down[x]
-        if not is_directed(poset, kx) or supremum(poset, kx) != x:
+        if not (directed & lub[x]) >> kx & 1:
             return False
     return True
 

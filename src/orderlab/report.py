@@ -24,7 +24,7 @@ from .cofinite import (
     sobrify_cofnat,
     wfreflect_cofnat,
 )
-from .errors import InputError, OrderLabError
+from .errors import BudgetExceeded, InputError, OrderLabError
 from .families import (
     FilteredFamily,
     family_members,
@@ -162,9 +162,13 @@ def _witness(report: dict, check: str, error: str, **extra) -> None:
 
 
 def _guard(report: dict, name: str, thunk):
-    """Run one check; a failure becomes a witness instead of propagating."""
+    """Run one check; a failure becomes a witness instead of propagating.
+    A declared budget is not a failure of the check: `BudgetExceeded`
+    propagates, and the CLI exits 3."""
     try:
         return thunk()
+    except BudgetExceeded:
+        raise
     except OrderLabError as exc:
         _witness(report, name, str(exc))
         return None

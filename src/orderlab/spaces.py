@@ -6,7 +6,8 @@ neighbourhood of the point x.  A `FinSpace` stores its labels and
 `spec_up` only.  Everything label-free is keyed by `spec_up`, so spaces
 with equal preorders and different labels (a discrete maximal-point
 space and a hyperspace's up-part, say) share one computation:
-- the views: the opens (enumerated by `_preorder_up_sets`), the closed
+- the views: the opens (enumerated by `_preorder_up_sets`, which
+  refuses a space with more than `MAX_UP_SETS` opens), the closed
   sets, their bit-sliced views (`bits.bit_slices`: one int per point, one
   bit per member) and `spec_down`, derived on first use in one
   `PreorderViews` per preorder;
@@ -33,8 +34,9 @@ compares the enumerated opens with the family.  Saturation is still the
 intersection of all open supersets, taken on the open slices in O(n)
 int operations.  Compactness is certified for every saturated set by the
 minimal-neighbourhood cover, and on spaces with at most 12 opens also by
-a scan of every open subfamily, run once per space for all candidates at
-once.
+a check of every open subfamily: each subfamily is one bit of truth
+tables over the opens (`bits.subset_columns`), so one pass of table
+operations per candidate covers all of them.
 """
 
 from __future__ import annotations
@@ -57,8 +59,11 @@ from .errors import (
 from .posets import check_preorder
 
 
-def _preorder_up_sets(spec_up: tuple[int, ...]) -> tuple[int, ...]:
-    """All up-sets of a preorder given by its up-masks, in canonical order.
+MAX_UP_SETS = 1 << 16
+
+
+def _up_set_leaves(spec_up: tuple[int, ...]):
+    """Yield every up-set of a preorder given by its up-masks.
 
     Depth first, the lowest undecided point is decided both ways: taking
     it takes its up-set, and leaving it out leaves out its down-set.  The
@@ -66,16 +71,28 @@ def _preorder_up_sets(spec_up: tuple[int, ...]) -> tuple[int, ...]:
     leaf is an up-set, and each up-set is reached exactly once.
     """
     spec_down = bits.bit_slices(spec_up, len(spec_up))
-    out = []
     stack = [(0, (1 << len(spec_up)) - 1)]
     while stack:
         taken, undecided = stack.pop()
         if not undecided:
-            out.append(taken)
+            yield taken
             continue
         x = (undecided & -undecided).bit_length() - 1
         stack.append((taken | spec_up[x], undecided & ~spec_up[x]))
         stack.append((taken, undecided & ~spec_down[x]))
+
+
+def _preorder_up_sets(spec_up: tuple[int, ...]) -> tuple[int, ...]:
+    """All up-sets of a preorder, in canonical order: the opens of its
+    space.  Raises `BudgetExceeded` on the first leaf past `MAX_UP_SETS`,
+    so a refused space costs at most the budget plus one leaf."""
+    out = []
+    for u in _up_set_leaves(spec_up):
+        if len(out) == MAX_UP_SETS:
+            raise BudgetExceeded(
+                f"space has more than {MAX_UP_SETS} open sets (the open-set budget)"
+            )
+        out.append(u)
     return bits.canon(out)
 
 
@@ -520,44 +537,56 @@ def _neighbourhood_cover(space: FinSpace, mask: int) -> bool:
     return bits.is_subset(mask, union) and all(u in space.open_set for u in cover)
 
 
+def _greedy_choices(opens: tuple[int, ...], mask: int):
+    """The greedy subcover of `mask` from every subfamily of `opens` at
+    once, as truth tables over the subfamilies (bit F for the subfamily
+    whose index mask is F): `(chosen, taken)`, where `chosen[j]` holds
+    the subfamilies whose greedy chooses opens[j] and `taken[p]` those
+    whose chosen opens hold the point p of `mask`.
+
+    The greedy runs in index order and chooses a member of the subfamily
+    when it holds a point of `mask` that no chosen open holds yet.
+    """
+    cols = bits.subset_columns(len(opens))
+    taken = dict.fromkeys(bits.indices_of(mask), 0)
+    chosen = []
+    for j, u in enumerate(opens):
+        points = bits.indices_of(u & mask)
+        untaken = 0
+        for p in points:
+            untaken |= ~taken[p]
+        pick = cols[j] & untaken
+        for p in points:
+            taken[p] |= pick
+        chosen.append(pick)
+    return tuple(chosen), taken
+
+
 def _subfamily_scan_failures(space: FinSpace, candidates) -> int:
     """Bit i set when some open subfamily covers candidates[i] but its
-    greedy subcover fails it (used on spaces with at most 12 opens).
+    greedy subcover misses one of its points (used on spaces with at
+    most 12 opens).
 
-    Every subfamily of the opens is visited once, depth first in index
-    order, so each one extends a smaller subfamily by its highest open:
-    its union is one OR more, and its greedy subcover state is one greedy
-    step more.  The greedy runs for every candidate at once, bit-sliced
-    over the candidates: `remaining[p]` holds the candidates whose point p
-    no chosen open has taken yet, `taken[p]` those whose subcover holds p.
-    A covered candidate fails when a point stays remaining or its
-    subcover misses one of its points.
+    Every subfamily of the opens is one bit of 2^k-bit truth tables
+    (`bits.subset_columns`, k the number of opens).  The subfamilies
+    covering a point p are those meeting the opens that hold p (the bits
+    of `open_slices[p]`); a candidate's covering subfamilies are the AND
+    of these over its points, and those whose greedy subcover
+    (`_greedy_choices`) misses it the OR over its points of the
+    subfamilies that leave the point untaken.
     """
-    n = space.n
-    points = [bits.indices_of(u) for u in space.opens]
-    holds = bits.bit_slices(candidates, n)
-    every = (1 << len(candidates)) - 1
+    k = len(space.opens)
+    covers = [bits.meets_table(s, k) for s in space.open_slices]
     failing = 0
-    stack = [(0, 0, holds, (0,) * n)]
-    while stack:
-        start, union, remaining, taken = stack.pop()
-        for j in range(start, len(points)):
-            hit = 0
-            for p in points[j]:
-                hit |= remaining[p]
-            rem = list(remaining)
-            tak = list(taken)
-            for p in points[j]:
-                rem[p] &= ~hit
-                tak[p] |= hit
-            grown = union | space.opens[j]
-            outside = bad = 0
-            for p in range(n):
-                if not grown >> p & 1:
-                    outside |= holds[p]
-                bad |= rem[p] | holds[p] & ~tak[p]
-            failing |= every & ~outside & bad
-            stack.append((j + 1, grown, rem, tak))
+    for i, c in enumerate(candidates):
+        _, taken = _greedy_choices(space.opens, c)
+        covered = (1 << (1 << k)) - 1
+        missed = 0
+        for p, held in taken.items():
+            covered &= covers[p]
+            missed |= ~held
+        if covered & missed:
+            failing |= 1 << i
     return failing
 
 
@@ -571,8 +600,9 @@ def compact_saturated_sets(space: FinSpace) -> tuple[int, ...]:
     Compactness runs through the minimal-neighbourhood cover for every
     candidate and, on spaces with at most 12 opens, through
     `_subfamily_scan_failures`, which checks every open subfamily against
-    every candidate in one pass per space.  The first failing candidate
-    in up-set order is raised.
+    every candidate, once per space, on 2^k-bit truth tables (k the
+    number of opens).  The first failing candidate in up-set order is
+    raised.
     """
     candidates = [s for s in space.opens if s]
     scan_failures = (

@@ -90,7 +90,7 @@ class XiZhaoPoset:
 
 def _dichotomy_holds(model: XiZhaoPoset, d_mask: int) -> bool:
     """A directed set meets the maximal pairs, or lies inside one slice
-    and has directed base coordinates."""
+    and has directed base coordinates (the per-set reference check)."""
     if d_mask & model.max_mask:
         return True
     for _, smask in model.slice_masks:
@@ -100,6 +100,44 @@ def _dichotomy_holds(model: XiZhaoPoset, d_mask: int) -> bool:
     return False
 
 
+def _dichotomy_failures(model: XiZhaoPoset) -> int:
+    """Truth table over the model's subsets (`bits.subset_columns`) of
+    the directed sets that break the dichotomy:
+    ``directed & ~(meets_max | inside_a_slice & coords_directed)``.
+
+    Inside one slice the pairs have distinct base coordinates, so the
+    coordinates of a set are directed exactly when the set is directed
+    for the slice's own order, x@e <= y@e when x <= y in the base
+    (`coords_up`).
+    """
+    n = model.poset.n
+    base, pairs = model.base, model.pairs
+    every = (1 << (1 << n)) - 1
+    coords_up = tuple(
+        bits.mask_of(j for j, (y, d) in enumerate(pairs) if d == e and base.leq(x, y))
+        for x, e in pairs
+    )
+    inside_a_slice = 0
+    for _, smask in model.slice_masks:
+        inside_a_slice |= every & ~bits.meets_table(model.poset.full_mask & ~smask, n)
+    holds = (bits.meets_table(model.max_mask, n)
+             | inside_a_slice & bits.directed_table(coords_up, n))
+    return bits.directed_table(model.poset.up, n) & ~holds
+
+
+def _dichotomy_scan(model: XiZhaoPoset) -> None:
+    """Raise for the first directed subset of the model, in increasing
+    mask order, that breaks the dichotomy; every subset is covered, as
+    one bit of `_dichotomy_failures`.  The set raised is confirmed by the
+    per-set `_dichotomy_holds` first."""
+    failing = _dichotomy_failures(model)
+    if failing:
+        d = (failing & -failing).bit_length() - 1
+        if not is_directed(model.poset, d) or _dichotomy_holds(model, d):
+            raise CheckFailed("dichotomy table disagrees with the per-set check", d)
+        raise CheckFailed("directed-set dichotomy failed", d)
+
+
 @lru_cache(maxsize=1024)
 def xizhao_model(base: FinPoset) -> XiZhaoPoset:
     """Build the pair model of a bounded-complete algebraic poset.
@@ -107,10 +145,10 @@ def xizhao_model(base: FinPoset) -> XiZhaoPoset:
     Pair labels are "x@e", so a base label containing "@" is refused.
     Asserted structure: the maximal pairs are exactly (e, e); the slice
     interiors partition the non-maximal part; and, on models of up to 10
-    pairs, every directed subset (found by scanning all 2^n subsets with
-    `is_directed`) meets the maximal pairs or lies inside one slice with
-    directed base coordinates.  Beyond 10 pairs the dichotomy is not
-    scanned; only the first two are asserted.
+    pairs, every directed subset meets the maximal pairs or lies inside
+    one slice with directed base coordinates (`_dichotomy_scan`, which
+    covers all 2^n subsets as bits of truth tables).  Beyond 10 pairs
+    the dichotomy is not scanned; only the first two are asserted.
     """
     for label in base.labels:
         if "@" in label:
@@ -153,9 +191,7 @@ def xizhao_model(base: FinPoset) -> XiZhaoPoset:
     if covered != model.nonmax_mask:
         raise CheckFailed("slice interiors do not cover the non-maximal part")
     if n <= 10:
-        for d in range(1, 1 << n):
-            if is_directed(model.poset, d) and not _dichotomy_holds(model, d):
-                raise CheckFailed("directed-set dichotomy failed", d)
+        _dichotomy_scan(model)
     return model
 
 

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from orderlab import bits
+from orderlab import bits, spaces
 from orderlab.cofinite import (
     CoSet,
     cofin,
@@ -15,6 +15,7 @@ from orderlab.cofinite import (
     window_oracle,
 )
 from orderlab.errors import (
+    BudgetExceeded,
     MissingEmptyOrFull,
     NotClosedUnderIntersection,
     NotClosedUnderUnion,
@@ -29,11 +30,14 @@ from orderlab.families import (
 from orderlab.generate import derive_seed, generate_poset
 from orderlab.reflections import all_posets, sobrification
 from orderlab.posets import (
+    _algebraicity_tables,
     bounded_complete_oracle,
     directed_subsets,
     down_sets,
+    is_algebraic_and_dcpo,
     is_bounded_complete,
     is_directed,
+    supremum,
     up_sets,
     validate_poset,
 )
@@ -41,7 +45,9 @@ from orderlab.report import analyze_poset, canonical_json
 from orderlab.scott import scott_space
 from orderlab.spaces import (
     FinSpace,
+    _greedy_choices,
     _preorder_up_sets,
+    _subfamily_scan_failures,
     compact_saturated_sets,
     irreducible_closed_sets,
     make_space,
@@ -216,6 +222,26 @@ def test_up_set_enumerator_reaches_each_up_set_once(up):
     assert up_set_leaves(up) == sorted(brute_up_sets(up))
 
 
+def test_up_set_enumeration_stops_one_leaf_past_the_budget(monkeypatch):
+    reached = []
+    leaves = spaces._up_set_leaves
+
+    def counted(up):
+        for leaf in leaves(up):
+            reached.append(leaf)
+            yield leaf
+
+    monkeypatch.setattr(spaces, "_up_set_leaves", counted)
+    monkeypatch.setattr(spaces, "MAX_UP_SETS", 5)
+    with pytest.raises(BudgetExceeded, match="more than 5 open sets"):
+        _preorder_up_sets((0b0001, 0b0010, 0b0100, 0b1000))  # 16 up-sets
+    assert len(reached) == 6
+    reached.clear()
+    chain = (0b1111, 0b1110, 0b1100, 0b1000)  # 5 up-sets: at the budget
+    assert _preorder_up_sets(chain) == (0, 0b1000, 0b1100, 0b1110, 0b1111)
+    assert len(reached) == 5
+
+
 @given(finite_spaces())
 @SMALL
 def test_single_set_scan_and_meeting_family_on_any_finite_space(space):
@@ -372,6 +398,128 @@ def test_is_directed_is_the_pairwise_definition(poset):
             for b in members
         )
         assert is_directed(poset, mask) == expected
+
+
+@given(posets(max_n=6))
+@SMALL
+def test_directed_table_is_the_per_set_check(poset):
+    table = bits.directed_table(poset.up, poset.n)
+    assert table >> (1 << poset.n) == 0
+    for mask in range(1 << poset.n):
+        assert bool(table >> mask & 1) == is_directed(poset, mask)
+
+
+def _algebraicity_loop(poset):
+    """The per-subset reference for `_algebraicity_tables`: the verdict,
+    and the compact elements (None when a directed set has no supremum)."""
+    directed = []
+    for s in range(1, 1 << poset.n):
+        if is_directed(poset, s):
+            sup = supremum(poset, s)
+            if sup is None:
+                return False, None
+            directed.append((s, sup))
+    compact = 0
+    for k in range(poset.n):
+        if all(d & poset.up[k] for d, sup in directed if poset.leq(k, sup)):
+            compact |= 1 << k
+    for x in range(poset.n):
+        kx = compact & poset.down[x]
+        if not is_directed(poset, kx) or supremum(poset, kx) != x:
+            return False, compact
+    return True, compact
+
+
+def _algebraicity_kernel_matches(poset):
+    directed, lub, compact = _algebraicity_tables(poset)
+    assert (is_algebraic_and_dcpo(poset), compact) == _algebraicity_loop(poset)
+    for mask in range(1 << poset.n):
+        assert bool(directed >> mask & 1) == is_directed(poset, mask)
+        sup = supremum(poset, mask)
+        assert [u for u in range(poset.n) if lub[u] >> mask & 1] == (
+            [] if sup is None else [sup])
+
+
+def test_algebraicity_tables_are_the_loop_on_every_order_on_four_points():
+    for n in range(5):
+        for poset in all_posets(n):
+            _algebraicity_kernel_matches(poset)
+
+
+@given(posets(max_n=6))
+@SMALL
+def test_algebraicity_tables_are_the_loop(poset):
+    _algebraicity_kernel_matches(poset)
+
+
+def _subfamily_depth_first(space, candidates):
+    """The reference for `_subfamily_scan_failures`: every open subfamily
+    visited depth first, with the greedy bit-sliced over the candidates."""
+    n = space.n
+    points = [bits.indices_of(u) for u in space.opens]
+    holds = bits.bit_slices(candidates, n)
+    every = (1 << len(candidates)) - 1
+    failing = 0
+    stack = [(0, 0, holds, (0,) * n)]
+    while stack:
+        start, union, remaining, taken = stack.pop()
+        for j in range(start, len(points)):
+            hit = 0
+            for p in points[j]:
+                hit |= remaining[p]
+            rem = list(remaining)
+            tak = list(taken)
+            for p in points[j]:
+                rem[p] &= ~hit
+                tak[p] |= hit
+            grown = union | space.opens[j]
+            outside = bad = 0
+            for p in range(n):
+                if not grown >> p & 1:
+                    outside |= holds[p]
+                bad |= rem[p] | holds[p] & ~tak[p]
+            failing |= every & ~outside & bad
+            stack.append((j + 1, grown, rem, tak))
+    return failing
+
+
+def _greedy_subcover(opens, mask, subfamily):
+    """Index mask of the opens the greedy chooses from one subfamily."""
+    chosen = taken = 0
+    for j, u in enumerate(opens):
+        if subfamily >> j & 1 and u & mask & ~taken:
+            chosen |= 1 << j
+            taken |= u
+    return chosen
+
+
+def small_alexandrov_spaces():
+    return alexandrov_spaces().filter(lambda space: len(space.opens) <= 12)
+
+
+@given(small_alexandrov_spaces(), st.data())
+@SMALL
+def test_subfamily_tables_are_the_depth_first_scan(space, data):
+    candidates = data.draw(st.lists(st.integers(0, space.full_mask), max_size=6))
+    assert (_subfamily_scan_failures(space, candidates)
+            == _subfamily_depth_first(space, candidates))
+
+
+@given(small_alexandrov_spaces(), st.data())
+@SMALL
+def test_greedy_tables_are_the_greedy_on_each_subfamily(space, data):
+    mask = data.draw(st.integers(0, space.full_mask))
+    k = len(space.opens)
+    chosen, taken = _greedy_choices(space.opens, mask)
+    assert len(chosen) == k
+    assert set(taken) == set(bits.indices_of(mask))
+    for subfamily in range(1 << k):
+        expected = _greedy_subcover(space.opens, mask, subfamily)
+        assert bits.mask_of(j for j in range(k) if chosen[j] >> subfamily & 1) == expected
+        union = 0
+        for j in bits.indices_of(expected):
+            union |= space.opens[j]
+        assert bits.mask_of(p for p in taken if taken[p] >> subfamily & 1) == union & mask
 
 
 @given(posets(max_n=4))

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from orderlab.cofinite import COFNAT
 from orderlab import cli
 from orderlab.cli import main
-from orderlab.errors import GenerationBudgetExceeded, InputError
+from orderlab.errors import BudgetExceeded, GenerationBudgetExceeded, InputError
 from orderlab.fixtures import DIAMOND, SIERPINSKI, VEE
 from orderlab.generate import corpus, derive_seed, generate_poset
 from orderlab.io import (
@@ -27,6 +28,7 @@ from orderlab.io import (
 from orderlab.posets import is_bounded_complete
 from orderlab.reflections import pair_conditions_check
 from orderlab.scott import scott_space
+from orderlab.spaces import MAX_UP_SETS
 from orderlab.report import (
     ALL_WHICH,
     ORACLE_PATHS,
@@ -259,6 +261,17 @@ def test_orderlab_runs_without_numpy():
     assert result.returncode == 0, result.stderr
 
 
+def test_a_budget_met_inside_a_check_is_not_a_witness(monkeypatch):
+    import orderlab.report as report_module
+
+    def over_budget(poset, name):
+        raise BudgetExceeded("test budget")
+
+    monkeypatch.setattr(report_module, "decomposition_check", over_budget)
+    with pytest.raises(BudgetExceeded, match="test budget"):
+        analyze_poset(VEE, ("EQ0",))
+
+
 def test_poset_report_selector_subset():
     report = analyze_poset(VEE, ("EQ0",))
     assert [e["name"] for e in report["equations"]] == ["EQ0"]
@@ -379,9 +392,18 @@ def instances(tmp_path):
         {"elements": [f"c{i}" for i in range(26)],
          "leq": [[f"c{i}", f"c{i + 1}"] for i in range(25)]}
     ))
+    # a bottom below three atoms, four leaves above each atom: 16
+    # elements, a 36-pair model and 557 136 Scott opens
+    atoms = [f"a{i}" for i in range(3)]
+    leaves = [(a, f"{a}l{j}") for a in atoms for j in range(4)]
+    tree16 = tmp_path / "tree16.json"
+    tree16.write_text(json.dumps(
+        {"elements": ["b"] + atoms + [leaf for _, leaf in leaves],
+         "leq": [["b", a] for a in atoms] + [list(p) for p in leaves]}
+    ))
     return {"vee": str(vee), "sierp": str(sierp),
             "indiscrete": str(indiscrete), "huge": str(huge),
-            "chain26": str(chain26), "dir": tmp_path}
+            "chain26": str(chain26), "tree16": str(tree16), "dir": tmp_path}
 
 
 def test_cli_analyze(instances, capsys):
@@ -437,6 +459,27 @@ def test_cli_exit_codes_one_and_three(instances, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["disagreements"]
     capsys.readouterr()
+
+
+def test_cli_refuses_a_space_past_the_open_set_budget(instances):
+    # the tree passes the carrier and algebraicity budgets; its Scott
+    # space is refused on the first up-set past MAX_UP_SETS, before any
+    # check runs, so the refusal is exit 3 and not a FAIL witness
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    started = time.monotonic()
+    result = subprocess.run(
+        [sys.executable, "-m", "orderlab.cli", "analyze", "--poset", instances["tree16"]],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert time.monotonic() - started < 10
+    assert result.returncode == 3, result.stderr
+    assert "Traceback" not in result.stderr
+    assert f"more than {MAX_UP_SETS} open sets" in result.stderr
+    assert result.stdout == ""
 
 
 def test_cli_xizhao(instances, capsys):

@@ -1,14 +1,28 @@
 """Pair models over maximal points: structure, dichotomy, E-sets, homeomorphism."""
 
-import pytest
+import time
 
-from orderlab.errors import InputError, NotBoundedComplete, NotUpperSet
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from orderlab import posets, xizhao
+from orderlab.errors import CheckFailed, InputError, NotBoundedComplete, NotUpperSet
 from orderlab.fixtures import CHAIN2, DIAMOND, VEE
-from orderlab.posets import FinPoset, is_directed, maximal_elements, validate_poset
+from orderlab.generate import generate_poset
+from orderlab.posets import (
+    FinPoset,
+    is_algebraic_and_dcpo,
+    is_bounded_complete,
+    is_directed,
+    maximal_elements,
+    validate_poset,
+)
 from orderlab.spaces import is_homeomorphism
 from orderlab.xizhao import (
     XiZhaoPoset,
+    _dichotomy_failures,
     _dichotomy_holds,
+    _dichotomy_scan,
     e_set,
     max_homeo_check,
     xizhao_model,
@@ -79,6 +93,66 @@ def test_dichotomy_fails_on_orders_that_break_it():
     up[1] |= up[2]
     crossed = FinPoset(dia.poset.labels, tuple(up))
     assert not _dichotomy_holds(XiZhaoPoset(DIAMOND, crossed, dia.pairs), 0b0110)
+    # the table scan raises on the same sets, the first failing ones
+    for base, order, pairs, witness in ((VEE, linked, vee.pairs, 0b0101),
+                                        (DIAMOND, crossed, dia.pairs, 0b0110)):
+        with pytest.raises(CheckFailed, match="dichotomy failed") as info:
+            _dichotomy_scan(XiZhaoPoset(base, order, pairs))
+        assert info.value.witness == witness
+
+
+@st.composite
+def perturbed_models(draw):
+    """A pair model of at most 10 pairs with its order replaced by a
+    random order on the same pairs, so the dichotomy may fail anywhere."""
+    base = generate_poset(draw(st.integers(0, 2**32)), 4)
+    model = xizhao_model(base)
+    n = len(model.pairs)
+    if n > 10:
+        model = xizhao_model(CHAIN2)
+        n = len(model.pairs)
+    labels = model.poset.labels
+    pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)
+             if draw(st.booleans())]
+    order = validate_poset(labels, pairs)
+    return XiZhaoPoset(model.base, order, model.pairs)
+
+
+@given(perturbed_models())
+@settings(max_examples=60, deadline=None)
+def test_dichotomy_table_is_the_per_set_check(model):
+    failing = _dichotomy_failures(model)
+    n = model.poset.n
+    assert failing >> (1 << n) == 0
+    for d in range(1 << n):
+        expected = is_directed(model.poset, d) and not _dichotomy_holds(model, d)
+        assert bool(failing >> d & 1) == expected
+
+
+def test_no_per_subset_loop_runs(monkeypatch):
+    # a bottom below five atoms has a 10-pair model, the largest whose
+    # dichotomy is scanned; the tables cover every subset without one
+    # per-set call
+    fan = validate_poset(("b",) + tuple(f"a{i}" for i in range(5)),
+                         tuple(("b", f"a{i}") for i in range(5)))
+    bounded = is_bounded_complete(fan)
+    assert bounded[0]
+    chain = validate_poset(tuple(f"c{i}" for i in range(16)),
+                           tuple((f"c{i}", f"c{i + 1}") for i in range(15)))
+
+    def refuse(*args):
+        raise AssertionError("per-subset call")
+
+    for module in (posets, xizhao):
+        monkeypatch.setattr(module, "is_directed", refuse)
+    monkeypatch.setattr(posets, "supremum", refuse)
+    # the bounded-completeness check is polynomial; its verdict is given
+    monkeypatch.setattr(xizhao, "is_bounded_complete", lambda poset: bounded)
+    model = xizhao_model.__wrapped__(fan)
+    assert len(model.pairs) == 10
+    started = time.monotonic()
+    assert is_algebraic_and_dcpo(chain)
+    assert time.monotonic() - started < 2.0
 
 
 def test_e_set_display_matches_scan():
