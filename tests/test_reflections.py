@@ -202,3 +202,40 @@ def test_a_broken_up_part_route_fails_every_runner(monkeypatch, empty_caches, ro
     for check in ("EQ0", "EQ2", "embed[sober]", "embed[wf]", "embed2",
                   "pair[Sc]", "pair[Irr]"):
         assert errors[check].endswith("up-part routes disagree in the hyperspace")
+
+
+def test_a_fail_report_keeps_its_shape(monkeypatch, empty_caches):
+    """A failed sub-check leaves out its tag or row, and a failed
+    single check its key; witnesses list the equations, then the checks
+    in selector order."""
+    real = reflections._eta_max_up
+
+    def broken(model, hyper):
+        return real(model, BROKEN_UP_PART_ROUTES["meets"](hyper))
+
+    monkeypatch.setattr(reflections, "_eta_max_up", broken)
+    report = analyze_poset(VEE)
+    assert report["verdict"] == "FAIL"
+    assert [w["check"] for w in report["witnesses"]] == [
+        "EQ0", "EQ2", "pair[Sc]", "pair[Irr]",
+        "embed[sober]", "embed[wf]", "embed2",
+    ]
+    shape = {
+        name: [[row["h"], row["g"]] for row in entry]
+        if isinstance(entry, list) else sorted(entry)
+        for name, entry in report["checks"].items()
+    }
+    assert list(shape) == ["pair", "embed", "shen", "key", "agreement", "classify"]
+    assert shape == {
+        "pair": [],
+        "embed": [],
+        "shen": ["max", "model"],
+        "key": [["SC", "KF"], ["SC", "WD"], ["SC", "IRR"],
+                ["KF", "WD"], ["KF", "IRR"], ["WD", "IRR"]],
+        "agreement": ["agree", "compared"],
+        "classify": ["max_panel"],
+    }
+    assert [e["name"] for e in report["equations"]] == [
+        "EQ1/model", "EQ1/max", "KFSET2/model", "KFSET2/max",
+        "EQ3/model", "EQ3/max",
+    ]
