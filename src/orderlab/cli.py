@@ -12,6 +12,7 @@ import argparse
 import sys
 from functools import lru_cache
 
+from . import bits
 from .cofinite import COFNAT, sobrify_cofnat, wfreflect_cofnat
 from .errors import BudgetExceeded, InputError, OrderLabError
 from .io import (
@@ -29,6 +30,7 @@ from .report import (
     analyze_poset,
     analyze_space,
     canonical_json,
+    equation_row,
     oracle_search,
     panel_payload,
     parse_which,
@@ -144,10 +146,7 @@ def _one_input(args):
 def _cmd_analyze(args) -> int:
     which = parse_which(args.which)
     kind, value = _one_input(args)
-    if kind == "poset":
-        report = analyze_poset(value, which)
-    else:
-        report = analyze_space(value, which)
+    report = analyze_poset(value, which) if kind == "poset" else analyze_space(value)
     _write(canonical_json(report), args.out)
     return 0 if report["verdict"] == "PASS" else 1
 
@@ -163,11 +162,7 @@ def _cmd_xizhao(args) -> int:
     payload = {
         "input": poset_to_json(base),
         "model": poset_to_json(model.poset),
-        "max_points": [
-            model.poset.labels[i]
-            for i in range(model.poset.n)
-            if model.max_mask >> i & 1
-        ],
+        "max_points": [model.poset.labels[i] for i in bits.indices_of(model.max_mask)],
     }
     _write(canonical_json(payload), args.out)
     return 0
@@ -175,24 +170,16 @@ def _cmd_xizhao(args) -> int:
 
 def _reflection_command(args, kind: str) -> int:
     input_kind, value = _one_input(args)
-    if input_kind == "poset":
-        raise InputError(f"{kind} takes --space or --builtin")
     if input_kind == "builtin":
         if args.emit == "dot":
             raise InputError("the built-in line has no finite DOT rendering")
+        payload = {"input": {"kind": "builtin", "name": "cofinite-nat"}}
         if kind == "sobrify":
-            sob = sobrify_cofnat()
-            payload = {
-                "input": {"kind": "builtin", "name": "cofinite-nat"},
-                "added_points": list(sob.added_points),
-            }
+            payload["added_points"] = list(sobrify_cofnat().added_points)
         else:
             sob, same = wfreflect_cofnat()
-            payload = {
-                "input": {"kind": "builtin", "name": "cofinite-nat"},
-                "added_points": list(sob.added_points),
-                "same_as_sobrification": same,
-            }
+            payload["added_points"] = list(sob.added_points)
+            payload["same_as_sobrification"] = same
         _write(canonical_json(payload), args.out)
         return 0
     space = value
@@ -214,9 +201,7 @@ def _reflection_command(args, kind: str) -> int:
 
 
 def _cmd_classify(args) -> int:
-    kind, value = _one_input(args)
-    if kind == "poset":
-        raise InputError("classify takes --space or --builtin")
+    _kind, value = _one_input(args)
     _write(canonical_json(panel_payload(classify(value))), args.out)
     return 0
 
@@ -233,15 +218,10 @@ def _cmd_check_equations(args) -> int:
     lines = []
     ok = True
     for label, poset in instances:
-        verdicts = []
-        for name in names:
-            for v in decomposition_check(poset, name):
-                verdicts.append(
-                    {"name": v.name, "passed": v.passed,
-                     "lhs": v.lhs_size, "rhs": v.rhs_size}
-                )
-                ok = ok and v.passed
-        lines.append(canonical_json({"instance": label, "equations": verdicts}))
+        verdicts = [v for name in names for v in decomposition_check(poset, name)]
+        ok = ok and all(v.passed for v in verdicts)
+        rows = [equation_row(v) for v in verdicts]
+        lines.append(canonical_json({"instance": label, "equations": rows}))
     _write("\n".join(lines), args.out)
     return 0 if ok else 1
 

@@ -113,9 +113,9 @@ def _stage_step(ambient: FinSpace, current: int) -> int:
 
     A point of the ambient joins when some member of the meeting family
     of the current-stage subspace closes, in the ambient, to exactly
-    that point's closure.  Memoized by value: `shen_iterate` and
-    `claim_embed2_check` walk the same chains over the same
-    sobrifications.
+    that point's closure.  Memoized by value: `shen_iterate` walks each
+    sobrification's chain once, and `claim_embed2_check` reads its chains
+    from there.
     """
     sub, incl = subspace(ambient, current)
     out = 0
@@ -575,39 +575,25 @@ def claim_embed2_check(poset: FinPoset) -> StagePairReport:
     maxsub, _ = model.max_space
     upper = ph_space(sigma, irreducible_closed_sets(sigma))
     lower = ph_space(maxsub, irreducible_closed_sets(maxsub))
-    jreport = j_embedding_check(poset, "sober")
-    jgraph = jreport.jmap.graph
+    jgraph = j_embedding_check(poset, "sober").jmap.graph
     up = _eta_max_up(model, upper)
 
-    x_chain = [lower.eta_image_mask]
-    y_chain = [upper.eta_image_mask]
-    while True:
-        nx = _stage_step(lower.space, x_chain[-1])
-        ny = _stage_step(upper.space, y_chain[-1])
-        grew = False
-        if nx != x_chain[-1] or ny != y_chain[-1]:
-            grew = True
-        x_chain.append(nx)
-        y_chain.append(ny)
-        if not grew:
-            break
-    x_index = next(i for i in range(len(x_chain)) if x_chain[i] == x_chain[-1])
-    y_index = next(i for i in range(len(y_chain)) if y_chain[i] == y_chain[-1])
+    x_chain = list(shen_iterate(maxsub).stages)
+    y_chain = list(shen_iterate(sigma).stages)
+    x_index, y_index = len(x_chain) - 1, len(y_chain) - 1
+    # side by side, the chains run until neither grows: one stage past
+    # the later stabilization, the earlier chain repeating its last stage
+    for chain in (x_chain, y_chain):
+        chain += [chain[-1]] * (max(x_index, y_index) + 2 - len(chain))
 
-    checked = 0
-    for step in range(len(y_chain)):
-        x_mask = x_chain[min(step, len(x_chain) - 1)]
-        y_mask = y_chain[min(step, len(y_chain) - 1)]
+    for step, (x_mask, y_mask) in enumerate(zip(x_chain, y_chain)):
         j_image = bits.mask_of(jgraph[i] for i in bits.indices_of(x_mask))
         if j_image != up & y_mask:
             raise CheckFailed("stage equation failed", step)
-        stage_members = tuple(
-            sorted(upper.members[i] for i in bits.indices_of(y_mask)),
-        )
-        wit = pair_conditions_check(poset, bits.canon(stage_members))
+        stage = bits.canon(upper.members[i] for i in bits.indices_of(y_mask))
+        wit = pair_conditions_check(poset, stage)
         if not (wit.p1 and wit.p2 and wit.p3):
             raise CheckFailed("stage family lost a pair condition", step)
-        checked += 1
 
     x_final = {lower.members[i] for i in bits.indices_of(x_chain[-1])}
     y_final = {upper.members[i] for i in bits.indices_of(y_chain[-1])}
@@ -616,5 +602,5 @@ def claim_embed2_check(poset: FinPoset) -> StagePairReport:
     if y_final != set(family_members("WD", sigma)):
         raise CheckFailed("model chain missed its squeezed family")
     return StagePairReport(
-        tuple(x_chain), tuple(y_chain), x_index, y_index, checked
+        tuple(x_chain), tuple(y_chain), x_index, y_index, len(y_chain)
     )

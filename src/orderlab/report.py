@@ -3,17 +3,22 @@
 Reports are plain dicts built in one fixed key order and serialized
 compactly, so identical configuration yields identical bytes; the
 timing field exists in the schema but always reads null for exactly
-that reason.  The oracle search re-derives a handful of quantities
-along deliberately independent code paths and reports disagreements
-(expected: none); a context-manager fault hook lets the tests confirm
-the harness actually notices when a path is wrong.
+that reason.  A poset report runs the equations its selectors name,
+then the rows of the one check table (`REPORT_CHECKS`) they name; a
+failed sub-check becomes a witness and leaves its payload out.  The
+oracle search re-derives a handful of quantities along deliberately
+independent code paths and reports disagreements (expected: none); a
+context-manager fault hook lets the tests confirm the harness actually
+notices when a path is wrong.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import combinations
 
 from . import bits
 from .cofinite import (
@@ -65,7 +70,102 @@ from .xizhao import max_homeo_check, xizhao_model
 
 SCHEMA = "orderlab-report/1"
 
-CHECK_WHICH = ("pair", "embed", "shen", "embed2", "key", "agreement", "classify")
+
+# ---------------------------------------------------------------------------
+# the check selectors of a poset report
+
+
+def _tagged(selector: str, tags) -> tuple[tuple[str, str], ...]:
+    return tuple((tag, f"{selector}[{tag}]") for tag in tags)
+
+
+def _one(model, done: list):
+    return done[0][1] if done else None
+
+
+def _shen_payload(chain) -> dict:
+    return {
+        "index": chain.stabilization_index,
+        "stage_sizes": [s.bit_count() for s in chain.stages],
+        "final_covers_sobrification": chain.stages[-1] == chain.ambient.full_mask,
+    }
+
+
+@dataclass(frozen=True)
+class ReportCheck:
+    """One check selector: its sub-checks as (tag, witness name) pairs,
+    `run(poset, model, tag)`, the `payload` of a result, the `flaw` of a
+    result that ran but does not hold (an error, or None), and
+    `entry(model, done)`, the `checks` entry made from the (tag, payload)
+    pairs of the sub-checks that ran (None leaves the entry out)."""
+
+    subs: tuple[tuple[str | None, str], ...]
+    run: Callable
+    payload: Callable = lambda result: None
+    entry: Callable = lambda model, done: dict(done)
+    flaw: Callable = lambda result: None
+
+
+# the runners look their functions up when called, so a wrapper put in
+# their place in this module (a test's fault, a tracer) is the one run
+REPORT_CHECKS = {
+    "pair": ReportCheck(
+        _tagged("pair", ("Sc", "Irr")),
+        lambda poset, model, tag: pair_conditions_check(
+            poset, family_members(tag, model.sigma)
+        ),
+        lambda w: {"p1": w.p1, "p2": w.p2, "p3": w.p3,
+                   "compact_checked": w.compact_preimages_checked},
+        flaw=lambda w: None if w.p1 and w.p2 and w.p3 else str(w.witness),
+    ),
+    "embed": ReportCheck(
+        _tagged("embed", ("sober", "wf")),
+        lambda poset, model, kind: j_embedding_check(poset, kind),
+        lambda r: {"embedding": r.embedding, "square": r.square_commutes,
+                   "image_law": r.image_law, "inverse_law": r.inverse_law,
+                   "saturated": r.image_saturated},
+    ),
+    "shen": ReportCheck(
+        _tagged("shen", ("max", "model")),
+        lambda poset, model, tag: shen_iterate(
+            model.max_space[0] if tag == "max" else model.sigma
+        ),
+        _shen_payload,
+    ),
+    "embed2": ReportCheck(
+        ((None, "embed2"),),
+        lambda poset, model, tag: claim_embed2_check(poset),
+        lambda r: {"x_index": r.x_index, "y_index": r.y_index,
+                   "stages_checked": r.stages_checked},
+        _one,
+    ),
+    "key": ReportCheck(
+        _tagged("key", (f"{h},{g}" for h, g in combinations(SYSTEM_KINDS, 2))),
+        lambda poset, model, tag: proposition_key_check(
+            poset, *map(SubsetSystemId, tag.split(","))
+        ),
+        lambda v: {"h": v.h, "g": v.g, "model_equal": v.model_equal,
+                   "max_equal": v.max_equal, "biconditional": v.biconditional,
+                   "star_biconditional": v.star_biconditional},
+        lambda model, done: [payload for _tag, payload in done],
+    ),
+    "agreement": ReportCheck(
+        ((None, "agreement"),),
+        lambda poset, model, tag: classifier_agreement(poset),
+        lambda r: {"compared": list(r.compared), "agree": r.agree},
+        _one,
+    ),
+    # the maximal-point panel is written whether or not max-homeo holds
+    "classify": ReportCheck(
+        ((None, "max-homeo"),),
+        lambda poset, model, tag: max_homeo_check(model),
+        entry=lambda model, done: {
+            "max_panel": panel_payload(classify(model.max_space[0])),
+        },
+    ),
+}
+
+CHECK_WHICH = tuple(REPORT_CHECKS)
 ALL_WHICH = EQUATION_NAMES + CHECK_WHICH
 
 
@@ -147,12 +247,28 @@ def panel_payload(panel) -> dict:
     }
 
 
-def _shen_payload(chain) -> dict:
-    return {
-        "index": chain.stabilization_index,
-        "stage_sizes": [s.bit_count() for s in chain.stages],
-        "final_covers_sobrification": chain.stages[-1] == chain.ambient.full_mask,
-    }
+def equation_row(v) -> dict:
+    """One equation verdict as a report row."""
+    return {"name": v.name, "passed": v.passed, "lhs": v.lhs_size, "rhs": v.rhs_size}
+
+
+def _report(echo: dict, space, model: dict | None = None) -> dict:
+    """A report with no check run yet; a pair-model report also carries
+    its model and its equations."""
+    report = {"schema": SCHEMA, "verdict": None, "input": echo}
+    if model is not None:
+        report["model"] = model
+    report["families"] = _family_payload(space)
+    report["panel"] = panel_payload(classify(space))
+    if model is not None:
+        report["equations"] = []
+    report.update(checks={}, witnesses=[], timing=None)
+    return report
+
+
+def _settle(report: dict) -> dict:
+    report["verdict"] = "FAIL" if report["witnesses"] else "PASS"
+    return report
 
 
 def _witness(report: dict, check: str, error: str, **extra) -> None:
@@ -174,145 +290,48 @@ def _guard(report: dict, name: str, thunk):
         return None
 
 
-_KEY_PAIRS = tuple(
-    (SYSTEM_KINDS[i], SYSTEM_KINDS[j])
-    for i in range(len(SYSTEM_KINDS))
-    for j in range(i + 1, len(SYSTEM_KINDS))
-)
-
-
 def analyze_poset(poset: FinPoset, which: tuple[str, ...] = ALL_WHICH) -> dict:
     """One full report for a poset instance.
 
     Construction failures (a poset the model rejects) propagate as
     input errors; check failures are caught and recorded as witnesses
-    so a FAIL report still serializes for replay.
+    so a FAIL report still serializes for replay.  The equations run in
+    `which` order, then the checks in table order.
     """
     model = xizhao_model(poset)
-    sigma = model.sigma
-    maxsub, _incl = model.max_space
-    report = {
-        "schema": SCHEMA,
-        "verdict": None,
-        "input": {"kind": "poset", **poset_to_json(poset)},
-        "model": {
+    labels = model.poset.labels
+    report = _report(
+        {"kind": "poset", **poset_to_json(poset)},
+        model.sigma,
+        model={
             "size": model.poset.n,
-            "elements": list(model.poset.labels),
-            "max_points": list(
-                model.poset.labels[i] for i in bits.indices_of(model.max_mask)
-            ),
+            "elements": list(labels),
+            "max_points": [labels[i] for i in bits.indices_of(model.max_mask)],
         },
-        "families": _family_payload(sigma),
-        "panel": panel_payload(classify(sigma)),
-        "equations": [],
-        "checks": {},
-        "witnesses": [],
-        "timing": None,
-    }
-    for name in which:
-        if name not in EQUATION_NAMES:
-            continue
-        verdicts = _guard(report, name, lambda n=name: decomposition_check(poset, n))
-        for v in verdicts or ():
-            report["equations"].append(
-                {
-                    "name": v.name,
-                    "passed": v.passed,
-                    "lhs": v.lhs_size,
-                    "rhs": v.rhs_size,
-                }
-            )
+    )
+    for name in (n for n in which if n in EQUATION_NAMES):
+        for v in _guard(report, name, lambda: decomposition_check(poset, name)) or ():
+            report["equations"].append(equation_row(v))
             if not v.passed:
                 _witness(report, v.name, "set equality failed", diff=sorted(v.diff))
-
-    if "pair" in which:
-        out = {}
-        for tag in ("Sc", "Irr"):
-            members = family_members(tag, sigma)
-            w = _guard(report, f"pair[{tag}]",
-                       lambda m=members: pair_conditions_check(poset, m))
-            if w is not None:
-                out[tag] = {
-                    "p1": w.p1, "p2": w.p2, "p3": w.p3,
-                    "compact_checked": w.compact_preimages_checked,
-                }
-                if not (w.p1 and w.p2 and w.p3):
-                    _witness(report, f"pair[{tag}]", str(w.witness))
-        report["checks"]["pair"] = out
-
-    if "embed" in which:
-        out = {}
-        for kind in ("sober", "wf"):
-            r = _guard(report, f"embed[{kind}]",
-                       lambda k=kind: j_embedding_check(poset, k))
-            if r is not None:
-                out[kind] = {
-                    "embedding": r.embedding,
-                    "square": r.square_commutes,
-                    "image_law": r.image_law,
-                    "inverse_law": r.inverse_law,
-                    "saturated": r.image_saturated,
-                }
-        report["checks"]["embed"] = out
-
-    if "shen" in which:
-        out = {}
-        for tag, space in (("max", maxsub), ("model", sigma)):
-            ch = _guard(report, f"shen[{tag}]", lambda s=space: shen_iterate(s))
-            if ch is not None:
-                out[tag] = _shen_payload(ch)
-        report["checks"]["shen"] = out
-
-    if "embed2" in which:
-        r = _guard(report, "embed2", lambda: claim_embed2_check(poset))
-        if r is not None:
-            report["checks"]["embed2"] = {
-                "x_index": r.x_index,
-                "y_index": r.y_index,
-                "stages_checked": r.stages_checked,
-            }
-
-    if "key" in which:
-        rows = []
-        for h, g in _KEY_PAIRS:
-            v = _guard(
-                report,
-                f"key[{h},{g}]",
-                lambda a=h, b=g: proposition_key_check(
-                    poset, SubsetSystemId(a), SubsetSystemId(b)
-                ),
-            )
-            if v is not None:
-                rows.append(
-                    {
-                        "h": v.h, "g": v.g,
-                        "model_equal": v.model_equal,
-                        "max_equal": v.max_equal,
-                        "biconditional": v.biconditional,
-                        "star_biconditional": v.star_biconditional,
-                    }
-                )
-        report["checks"]["key"] = rows
-
-    if "agreement" in which:
-        r = _guard(report, "agreement", lambda: classifier_agreement(poset))
-        if r is not None:
-            report["checks"]["agreement"] = {
-                "compared": list(r.compared),
-                "agree": r.agree,
-            }
-
-    if "classify" in which:
-        _guard(report, "max-homeo", lambda: max_homeo_check(model))
-        report["checks"]["classify"] = {
-            "max_panel": panel_payload(classify(maxsub)),
-        }
-
-    report["verdict"] = "FAIL" if report["witnesses"] else "PASS"
-    return report
+    for selector, check in REPORT_CHECKS.items():
+        if selector not in which:
+            continue
+        done = []
+        for tag, name in check.subs:
+            result = _guard(report, name, lambda: check.run(poset, model, tag))
+            if result is not None:
+                done.append((tag, check.payload(result)))
+                flaw = check.flaw(result)
+                if flaw is not None:
+                    _witness(report, name, flaw)
+        entry = check.entry(model, done)
+        if entry is not None:
+            report["checks"][selector] = entry
+    return _settle(report)
 
 
-def analyze_space(space, which: tuple[str, ...] = ALL_WHICH) -> dict:
+def analyze_space(space) -> dict:
     """Report for a standalone space (finite, or the cofinite line).
 
     Equations need a pair model, so the space report carries families,
@@ -320,16 +339,7 @@ def analyze_space(space, which: tuple[str, ...] = ALL_WHICH) -> dict:
     """
     if isinstance(space, CofNat):
         return _analyze_cofnat()
-    report = {
-        "schema": SCHEMA,
-        "verdict": None,
-        "input": {"kind": "space", **space_to_json(space)},
-        "families": _family_payload(space),
-        "panel": panel_payload(classify(space)),
-        "checks": {},
-        "witnesses": [],
-        "timing": None,
-    }
+    report = _report({"kind": "space", **space_to_json(space)}, space)
     collapse = _guard(report, "collapse", lambda: finite_collapse_check(space))
     if collapse is not None:
         report["checks"]["collapse"] = {
@@ -344,32 +354,22 @@ def analyze_space(space, which: tuple[str, ...] = ALL_WHICH) -> dict:
     ch = _guard(report, "shen", lambda: shen_iterate(space))
     if ch is not None:
         report["checks"]["shen"] = _shen_payload(ch)
-    report["verdict"] = "FAIL" if report["witnesses"] else "PASS"
-    return report
+    return _settle(report)
 
 
 def _analyze_cofnat() -> dict:
+    report = _report({"kind": "builtin", "name": "cofinite-nat"}, COFNAT)
     sob = sobrify_cofnat()
     _, same = wfreflect_cofnat()
     ch = shen_cofnat()
-    report = {
-        "schema": SCHEMA,
-        "verdict": "PASS",
-        "input": {"kind": "builtin", "name": "cofinite-nat"},
-        "families": _family_payload(COFNAT),
-        "panel": panel_payload(classify(COFNAT)),
-        "checks": {
-            "sobrify": {"added_points": list(sob.added_points)},
-            "wfreflect": {"same_as_sobrification": same},
-            "shen": {"index": ch.stabilization_index,
-                     "stages": [s.describe() for s in ch.stages]},
-            "window": {"kf_witness_agrees": kf_witness_window_check()},
-        },
-        "witnesses": [],
-        "timing": None,
+    report["checks"] = {
+        "sobrify": {"added_points": list(sob.added_points)},
+        "wfreflect": {"same_as_sobrification": same},
+        "shen": {"index": ch.stabilization_index,
+                 "stages": [s.describe() for s in ch.stages]},
+        "window": {"kf_witness_agrees": kf_witness_window_check()},
     }
-    return report
-
+    return _settle(report)
 
 def run_suite(cfg: RunConfig):
     """Reports for the fixtures and the seeded corpus, in a fixed order.
@@ -449,47 +449,40 @@ def _oracle_poset(label: str, poset: FinPoset) -> list[dict]:
             "only_order": sorted(route_b - route_a),
         })
 
-    for space in (sigma,):
-        irr = set(irreducible_closed_sets(space))
-        gen = set(point_closures(space))
-        if _faulted("irr-generic"):
-            gen = gen - {min(gen, key=bits.subset_key)}
-        if irr != gen:
-            diff = min(irr ^ gen, key=bits.subset_key)
-            report("irr-generic",
-                   {"member": list(space.labels_of_mask(diff))})
+    irr = set(irreducible_closed_sets(sigma))
+    gen = set(point_closures(sigma))
+    if _faulted("irr-generic"):
+        gen = gen - {min(gen, key=bits.subset_key)}
+    if irr != gen:
+        diff = min(irr ^ gen, key=bits.subset_key)
+        report("irr-generic", {"member": list(sigma.labels_of_mask(diff))})
 
-        for k in compact_saturated_sets(space)[:24]:
-            meeting = [c for c in space.closed if c and c & k]
-            route_a2 = bits.canon(
-                c for c in meeting
-                if not any(d != c and bits.is_subset(d, c) for d in meeting)
-            )
-            if _faulted("m-routes"):
-                route_a2 = route_a2[1:]
-            route_b2 = minimal_closed_meeting(
-                space, FilteredFamily(space, (k,))
-            )
-            if route_a2 != route_b2:
-                report("m-routes", {
-                    "family": [list(space.labels_of_mask(k))],
-                    "scan": [list(space.labels_of_mask(m)) for m in route_a2],
-                    "least-member": [
-                        list(space.labels_of_mask(m)) for m in route_b2
-                    ],
-                })
-                break
+    for k in compact_saturated_sets(sigma)[:24]:
+        meeting = [c for c in sigma.closed if c and c & k]
+        route_a2 = bits.canon(
+            c for c in meeting
+            if not any(d != c and bits.is_subset(d, c) for d in meeting)
+        )
+        if _faulted("m-routes"):
+            route_a2 = route_a2[1:]
+        route_b2 = minimal_closed_meeting(sigma, FilteredFamily(sigma, (k,)))
+        if route_a2 != route_b2:
+            report("m-routes", {
+                "family": [list(sigma.labels_of_mask(k))],
+                "scan": [list(sigma.labels_of_mask(m)) for m in route_a2],
+                "least-member": [list(sigma.labels_of_mask(m)) for m in route_b2],
+            })
+            break
 
-        sob = sobrification(space)
-        f = sob.eta_map
-        for u in space.opens:
-            lhs = f.image(u)
-            rhs = sob.diamond(u) & sob.eta_image_mask
-            if _faulted("eta-image") and rhs:
-                rhs ^= rhs & -rhs
-            if lhs != rhs:
-                report("eta-image", {"open": list(space.labels_of_mask(u))})
-                break
+    sob = sobrification(sigma)
+    for u in sigma.opens:
+        lhs = sob.eta_map.image(u)
+        rhs = sob.diamond(u) & sob.eta_image_mask
+        if _faulted("eta-image") and rhs:
+            rhs ^= rhs & -rhs
+        if lhs != rhs:
+            report("eta-image", {"open": list(sigma.labels_of_mask(u))})
+            break
     return found
 
 

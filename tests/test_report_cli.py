@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -26,12 +27,13 @@ from orderlab.io import (
     space_to_json,
 )
 from orderlab.posets import is_bounded_complete
-from orderlab.reflections import pair_conditions_check
+from orderlab.reflections import EQUATION_NAMES, pair_conditions_check
 from orderlab.scott import scott_space
 from orderlab.spaces import MAX_UP_SETS
 from orderlab.report import (
     ALL_WHICH,
     ORACLE_PATHS,
+    REPORT_CHECKS,
     RunConfig,
     analyze_poset,
     analyze_space,
@@ -273,10 +275,16 @@ def test_a_budget_met_inside_a_check_is_not_a_witness(monkeypatch):
 
 
 def test_poset_report_selector_subset():
-    report = analyze_poset(VEE, ("EQ0",))
-    assert [e["name"] for e in report["equations"]] == ["EQ0"]
-    assert report["checks"] == {}
-    assert report["verdict"] == "PASS"
+    """Each selector alone reports exactly its equation or its one check."""
+    assert ALL_WHICH == EQUATION_NAMES + tuple(REPORT_CHECKS)
+    for name in ALL_WHICH:
+        report = analyze_poset(VEE, (name,))
+        assert report["verdict"] == "PASS", name
+        equations = {re.split(r"[/\[]", e["name"])[0] for e in report["equations"]}
+        if name in EQUATION_NAMES:
+            assert (equations, report["checks"]) == ({name}, {}), name
+        else:
+            assert (equations, list(report["checks"])) == (set(), [name]), name
 
 
 def test_space_reports():
