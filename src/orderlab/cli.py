@@ -146,7 +146,10 @@ def _one_input(args):
 def _cmd_analyze(args) -> int:
     which = parse_which(args.which)
     kind, value = _one_input(args)
-    report = analyze_poset(value, which) if kind == "poset" else analyze_space(value)
+    if kind == "poset":
+        report = analyze_poset(value, which)
+    else:
+        report = analyze_space(value)
     _write(canonical_json(report), args.out)
     return 0 if report["verdict"] == "PASS" else 1
 
@@ -162,7 +165,9 @@ def _cmd_xizhao(args) -> int:
     payload = {
         "input": poset_to_json(base),
         "model": poset_to_json(model.poset),
-        "max_points": [model.poset.labels[i] for i in bits.indices_of(model.max_mask)],
+        "max_points": [
+            model.poset.labels[i] for i in bits.indices_of(model.max_mask)
+        ],
     }
     _write(canonical_json(payload), args.out)
     return 0

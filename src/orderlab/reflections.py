@@ -568,19 +568,23 @@ def claim_embed2_check(poset: FinPoset) -> StagePairReport:
     chain exactly onto the part of the model chain above the embedded
     maximal points, while the stage family keeps conditions (P1)-(P3);
     at stabilization both chains must equal the squeezed families of
-    their spaces.
+    their spaces.  The chains are `shen_iterate`'s, so a failure of
+    either `shen_iterate` call (its sobrification, or its checks of the
+    stabilized stage) is this check's failure too, with that message.
     """
     model = xizhao_model(poset)
     sigma = model.sigma
     maxsub, _ = model.max_space
     upper = ph_space(sigma, irreducible_closed_sets(sigma))
     lower = ph_space(maxsub, irreducible_closed_sets(maxsub))
-    jgraph = j_embedding_check(poset, "sober").jmap.graph
+    jreport = j_embedding_check(poset, "sober")
+    jgraph = jreport.jmap.graph
     up = _eta_max_up(model, upper)
 
     x_chain = list(shen_iterate(maxsub).stages)
     y_chain = list(shen_iterate(sigma).stages)
-    x_index, y_index = len(x_chain) - 1, len(y_chain) - 1
+    x_index = len(x_chain) - 1
+    y_index = len(y_chain) - 1
     # side by side, the chains run until neither grows: one stage past
     # the later stabilization, the earlier chain repeating its last stage
     for chain in (x_chain, y_chain):

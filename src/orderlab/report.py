@@ -75,11 +75,7 @@ SCHEMA = "orderlab-report/1"
 # the check selectors of a poset report
 
 
-def _tagged(selector: str, tags) -> tuple[tuple[str, str], ...]:
-    return tuple((tag, f"{selector}[{tag}]") for tag in tags)
-
-
-def _one(model, done: list):
+def _one(done: list):
     return done[0][1] if done else None
 
 
@@ -91,18 +87,29 @@ def _shen_payload(chain) -> dict:
     }
 
 
+def _max_homeo_error(model) -> str | None:
+    """The error of `max_homeo_check`, or None when it holds."""
+    try:
+        max_homeo_check(model)
+    except BudgetExceeded:
+        raise
+    except OrderLabError as exc:
+        return str(exc)
+    return None
+
+
 @dataclass(frozen=True)
 class ReportCheck:
     """One check selector: its sub-checks as (tag, witness name) pairs,
     `run(poset, model, tag)`, the `payload` of a result, the `flaw` of a
     result that ran but does not hold (an error, or None), and
-    `entry(model, done)`, the `checks` entry made from the (tag, payload)
-    pairs of the sub-checks that ran (None leaves the entry out)."""
+    `entry(done)`, the `checks` entry made from the (tag, payload) pairs
+    of the sub-checks that ran (None leaves the entry out)."""
 
-    subs: tuple[tuple[str | None, str], ...]
+    subs: tuple[tuple, ...]
     run: Callable
-    payload: Callable = lambda result: None
-    entry: Callable = lambda model, done: dict(done)
+    payload: Callable
+    entry: Callable = dict
     flaw: Callable = lambda result: None
 
 
@@ -110,23 +117,29 @@ class ReportCheck:
 # their place in this module (a test's fault, a tracer) is the one run
 REPORT_CHECKS = {
     "pair": ReportCheck(
-        _tagged("pair", ("Sc", "Irr")),
+        (("Sc", "pair[Sc]"), ("Irr", "pair[Irr]")),
         lambda poset, model, tag: pair_conditions_check(
             poset, family_members(tag, model.sigma)
         ),
-        lambda w: {"p1": w.p1, "p2": w.p2, "p3": w.p3,
-                   "compact_checked": w.compact_preimages_checked},
+        lambda w: {
+            "p1": w.p1, "p2": w.p2, "p3": w.p3,
+            "compact_checked": w.compact_preimages_checked,
+        },
         flaw=lambda w: None if w.p1 and w.p2 and w.p3 else str(w.witness),
     ),
     "embed": ReportCheck(
-        _tagged("embed", ("sober", "wf")),
+        (("sober", "embed[sober]"), ("wf", "embed[wf]")),
         lambda poset, model, kind: j_embedding_check(poset, kind),
-        lambda r: {"embedding": r.embedding, "square": r.square_commutes,
-                   "image_law": r.image_law, "inverse_law": r.inverse_law,
-                   "saturated": r.image_saturated},
+        lambda r: {
+            "embedding": r.embedding,
+            "square": r.square_commutes,
+            "image_law": r.image_law,
+            "inverse_law": r.inverse_law,
+            "saturated": r.image_saturated,
+        },
     ),
     "shen": ReportCheck(
-        _tagged("shen", ("max", "model")),
+        (("max", "shen[max]"), ("model", "shen[model]")),
         lambda poset, model, tag: shen_iterate(
             model.max_space[0] if tag == "max" else model.sigma
         ),
@@ -135,33 +148,43 @@ REPORT_CHECKS = {
     "embed2": ReportCheck(
         ((None, "embed2"),),
         lambda poset, model, tag: claim_embed2_check(poset),
-        lambda r: {"x_index": r.x_index, "y_index": r.y_index,
-                   "stages_checked": r.stages_checked},
+        lambda r: {
+            "x_index": r.x_index,
+            "y_index": r.y_index,
+            "stages_checked": r.stages_checked,
+        },
         _one,
     ),
     "key": ReportCheck(
-        _tagged("key", (f"{h},{g}" for h, g in combinations(SYSTEM_KINDS, 2))),
-        lambda poset, model, tag: proposition_key_check(
-            poset, *map(SubsetSystemId, tag.split(","))
+        tuple(((h, g), f"key[{h},{g}]") for h, g in combinations(SYSTEM_KINDS, 2)),
+        lambda poset, model, hg: proposition_key_check(
+            poset, SubsetSystemId(hg[0]), SubsetSystemId(hg[1])
         ),
-        lambda v: {"h": v.h, "g": v.g, "model_equal": v.model_equal,
-                   "max_equal": v.max_equal, "biconditional": v.biconditional,
-                   "star_biconditional": v.star_biconditional},
-        lambda model, done: [payload for _tag, payload in done],
+        lambda v: {
+            "h": v.h, "g": v.g,
+            "model_equal": v.model_equal,
+            "max_equal": v.max_equal,
+            "biconditional": v.biconditional,
+            "star_biconditional": v.star_biconditional,
+        },
+        lambda done: [payload for _tag, payload in done],
     ),
     "agreement": ReportCheck(
         ((None, "agreement"),),
         lambda poset, model, tag: classifier_agreement(poset),
-        lambda r: {"compared": list(r.compared), "agree": r.agree},
+        lambda r: {
+            "compared": list(r.compared),
+            "agree": r.agree,
+        },
         _one,
     ),
-    # the maximal-point panel is written whether or not max-homeo holds
+    # the maximal part's panel is written whether or not max-homeo holds:
+    # the runner returns the model, and max-homeo's error is its flaw
     "classify": ReportCheck(
-        ((None, "max-homeo"),),
-        lambda poset, model, tag: max_homeo_check(model),
-        entry=lambda model, done: {
-            "max_panel": panel_payload(classify(model.max_space[0])),
-        },
+        (("max_panel", "max-homeo"),),
+        lambda poset, model, tag: model,
+        lambda model: panel_payload(classify(model.max_space[0])),
+        flaw=_max_homeo_error,
     ),
 }
 
@@ -249,7 +272,12 @@ def panel_payload(panel) -> dict:
 
 def equation_row(v) -> dict:
     """One equation verdict as a report row."""
-    return {"name": v.name, "passed": v.passed, "lhs": v.lhs_size, "rhs": v.rhs_size}
+    return {
+        "name": v.name,
+        "passed": v.passed,
+        "lhs": v.lhs_size,
+        "rhs": v.rhs_size,
+    }
 
 
 def _report(echo: dict, space, model: dict | None = None) -> dict:
@@ -306,11 +334,16 @@ def analyze_poset(poset: FinPoset, which: tuple[str, ...] = ALL_WHICH) -> dict:
         model={
             "size": model.poset.n,
             "elements": list(labels),
-            "max_points": [labels[i] for i in bits.indices_of(model.max_mask)],
+            "max_points": [
+                labels[i] for i in bits.indices_of(model.max_mask)
+            ],
         },
     )
-    for name in (n for n in which if n in EQUATION_NAMES):
-        for v in _guard(report, name, lambda: decomposition_check(poset, name)) or ():
+    for name in which:
+        if name not in EQUATION_NAMES:
+            continue
+        verdicts = _guard(report, name, lambda: decomposition_check(poset, name))
+        for v in verdicts or ():
             report["equations"].append(equation_row(v))
             if not v.passed:
                 _witness(report, v.name, "set equality failed", diff=sorted(v.diff))
@@ -325,7 +358,7 @@ def analyze_poset(poset: FinPoset, which: tuple[str, ...] = ALL_WHICH) -> dict:
                 flaw = check.flaw(result)
                 if flaw is not None:
                     _witness(report, name, flaw)
-        entry = check.entry(model, done)
+        entry = check.entry(done)
         if entry is not None:
             report["checks"][selector] = entry
     return _settle(report)
@@ -365,11 +398,14 @@ def _analyze_cofnat() -> dict:
     report["checks"] = {
         "sobrify": {"added_points": list(sob.added_points)},
         "wfreflect": {"same_as_sobrification": same},
-        "shen": {"index": ch.stabilization_index,
-                 "stages": [s.describe() for s in ch.stages]},
+        "shen": {
+            "index": ch.stabilization_index,
+            "stages": [s.describe() for s in ch.stages],
+        },
         "window": {"kf_witness_agrees": kf_witness_window_check()},
     }
     return _settle(report)
+
 
 def run_suite(cfg: RunConfig):
     """Reports for the fixtures and the seeded corpus, in a fixed order.

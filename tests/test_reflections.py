@@ -204,6 +204,24 @@ def test_a_broken_up_part_route_fails_every_runner(monkeypatch, empty_caches, ro
         assert errors[check].endswith("up-part routes disagree in the hyperspace")
 
 
+def test_a_failed_stage_chain_fails_embed2(monkeypatch):
+    """embed2 reads its two chains from `shen_iterate`, so a failure there
+    is embed2's witness, with shen_iterate's message; the report's own
+    shen check does not go through the reflections module and holds."""
+
+    def failing(space):
+        raise CheckFailed("finite input did not fill its sobrification")
+
+    monkeypatch.setattr(reflections, "shen_iterate", failing)
+    with pytest.raises(CheckFailed, match="did not fill"):
+        claim_embed2_check(VEE)
+    report = analyze_poset(VEE, ("shen", "embed2"))
+    assert [(w["check"], w["error"]) for w in report["witnesses"]] == [
+        ("embed2", "verification failed: finite input did not fill its sobrification"),
+    ]
+    assert list(report["checks"]) == ["shen"]
+
+
 def test_a_fail_report_keeps_its_shape(monkeypatch, empty_caches):
     """A failed sub-check leaves out its tag or row, and a failed
     single check its key; witnesses list the equations, then the checks

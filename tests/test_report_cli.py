@@ -3,7 +3,6 @@
 import hashlib
 import json
 import os
-import re
 import subprocess
 import sys
 import time
@@ -14,7 +13,12 @@ import pytest
 from orderlab.cofinite import COFNAT
 from orderlab import cli
 from orderlab.cli import main
-from orderlab.errors import BudgetExceeded, GenerationBudgetExceeded, InputError
+from orderlab.errors import (
+    BudgetExceeded,
+    CheckFailed,
+    GenerationBudgetExceeded,
+    InputError,
+)
 from orderlab.fixtures import DIAMOND, SIERPINSKI, VEE
 from orderlab.generate import corpus, derive_seed, generate_poset
 from orderlab.io import (
@@ -27,7 +31,11 @@ from orderlab.io import (
     space_to_json,
 )
 from orderlab.posets import is_bounded_complete
-from orderlab.reflections import EQUATION_NAMES, pair_conditions_check
+from orderlab.reflections import (
+    EQUATION_NAMES,
+    decomposition_check,
+    pair_conditions_check,
+)
 from orderlab.scott import scott_space
 from orderlab.spaces import MAX_UP_SETS
 from orderlab.report import (
@@ -274,17 +282,49 @@ def test_a_budget_met_inside_a_check_is_not_a_witness(monkeypatch):
         analyze_poset(VEE, ("EQ0",))
 
 
+def test_a_failed_max_homeo_keeps_the_max_panel(monkeypatch):
+    """classify writes the maximal part's panel whether or not max-homeo
+    holds, and a budget met in max-homeo still propagates."""
+    import orderlab.report as report_module
+
+    passing = analyze_poset(VEE, ("classify",))
+
+    def failing(model):
+        raise CheckFailed("not homeomorphic")
+
+    monkeypatch.setattr(report_module, "max_homeo_check", failing)
+    report = analyze_poset(VEE, ("classify",))
+    assert [(w["check"], w["error"]) for w in report["witnesses"]] == [
+        ("max-homeo", "verification failed: not homeomorphic"),
+    ]
+    assert report["checks"] == passing["checks"]
+    assert list(report["checks"]["classify"]) == ["max_panel"]
+
+    def over_budget(model):
+        raise BudgetExceeded("test budget")
+
+    monkeypatch.setattr(report_module, "max_homeo_check", over_budget)
+    with pytest.raises(BudgetExceeded, match="test budget"):
+        analyze_poset(VEE, ("classify",))
+
+
 def test_poset_report_selector_subset():
     """Each selector alone reports exactly its equation or its one check."""
+    report = analyze_poset(VEE, ("EQ0",))
+    assert [e["name"] for e in report["equations"]] == ["EQ0"]
+    assert report["checks"] == {}
+    assert report["verdict"] == "PASS"
     assert ALL_WHICH == EQUATION_NAMES + tuple(REPORT_CHECKS)
     for name in ALL_WHICH:
         report = analyze_poset(VEE, (name,))
         assert report["verdict"] == "PASS", name
-        equations = {re.split(r"[/\[]", e["name"])[0] for e in report["equations"]}
+        names = [e["name"] for e in report["equations"]]
         if name in EQUATION_NAMES:
-            assert (equations, report["checks"]) == ({name}, {}), name
+            assert names == [v.name for v in decomposition_check(VEE, name)]
+            assert report["checks"] == {}, name
         else:
-            assert (equations, list(report["checks"])) == (set(), [name]), name
+            assert names == [], name
+            assert list(report["checks"]) == [name]
 
 
 def test_space_reports():
