@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import json
 
-from . import bits
 from .errors import InputError
-from .posets import FinPoset, validate_poset
+from .posets import FinPoset, cover_pairs, validate_poset
 from .spaces import FinSpace, make_space
 
 
@@ -111,17 +110,23 @@ def _dot_quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def poset_dot(poset: FinPoset, name: str = "poset") -> str:
-    """Hasse diagram, lower elements drawn below their covers."""
+def _hasse_dot(name: str, labels, up, down) -> str:
+    """DOT text of a preorder's Hasse diagram (`cover_pairs`), drawn bottom
+    to top."""
     lines = [f"digraph {_dot_quote(name)} {{", "  rankdir=BT;"]
-    for lbl in poset.labels:
+    for lbl in labels:
         lines.append(f"  {_dot_quote(lbl)};")
-    for i, j in sorted(poset.covers()):
+    for i, j in cover_pairs(up, down):
         lines.append(
-            f"  {_dot_quote(poset.labels[i])} -> {_dot_quote(poset.labels[j])};"
+            f"  {_dot_quote(labels[i])} -> {_dot_quote(labels[j])};"
         )
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def poset_dot(poset: FinPoset, name: str = "poset") -> str:
+    """Hasse diagram, lower elements drawn below their covers."""
+    return _hasse_dot(name, poset.labels, poset.up, poset.down)
 
 
 def space_dot(space: FinSpace, name: str = "space") -> str:
@@ -130,18 +135,4 @@ def space_dot(space: FinSpace, name: str = "space") -> str:
     Hyperspace points arrive already labeled by their closed-set
     contents, so the same renderer serves both levels.
     """
-    lines = [f"digraph {_dot_quote(name)} {{", "  rankdir=BT;"]
-    for lbl in space.labels:
-        lines.append(f"  {_dot_quote(lbl)};")
-    n = space.n
-    strict = [space.spec_up[i] & ~(1 << i) for i in range(n)]
-    for i in range(n):
-        for j in bits.indices_of(strict[i]):
-            between = strict[i] & space.spec_down[j] & ~(1 << j)
-            if not between:
-                lines.append(
-                    f"  {_dot_quote(space.labels[i])} -> "
-                    f"{_dot_quote(space.labels[j])};"
-                )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _hasse_dot(name, space.labels, space.spec_up, space.spec_down)

@@ -37,6 +37,34 @@ def check_preorder(labels, up) -> None:
                 raise CheckFailed("relation not transitive", (i, j))
 
 
+def cover_pairs(up, down) -> tuple[tuple[int, int], ...]:
+    """Pairs (i, j) with j strictly above i and nothing strictly between,
+    in increasing (i, j) order, for a preorder given by its up-masks and
+    down-masks (the Hasse edges of `FinPoset.covers` and of `io`'s DOT
+    diagrams)."""
+    out = []
+    for i in range(len(up)):
+        strict_up = up[i] & ~(1 << i)
+        for j in bits.indices_of(strict_up):
+            between = strict_up & down[j] & ~(1 << j)
+            if not between:
+                out.append((i, j))
+    return tuple(out)
+
+
+def label_index(labels: tuple[str, ...]) -> dict[str, int]:
+    """The position of each label; raises `DuplicateLabel` on the first
+    repeated label and `BudgetExceeded` on an oversized carrier (the
+    shared label check of `validate_poset` and `spaces.make_space`)."""
+    index = {}
+    for i, l in enumerate(labels):
+        if l in index:
+            raise DuplicateLabel(l)
+        index[l] = i
+    bits.check_carrier(len(labels))
+    return index
+
+
 @dataclass(frozen=True)
 class FinPoset:
     labels: tuple[str, ...]
@@ -90,14 +118,7 @@ class FinPoset:
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Cover pairs (i, j): i < j with nothing strictly between."""
-        out = []
-        for i in range(self.n):
-            strict_up = self.up[i] & ~(1 << i)
-            for j in bits.indices_of(strict_up):
-                between = strict_up & self.down[j] & ~(1 << j)
-                if not between:
-                    out.append((i, j))
-        return tuple(out)
+        return cover_pairs(self.up, self.down)
 
 
 def validate_poset(labels, pairs) -> FinPoset:
@@ -108,13 +129,7 @@ def validate_poset(labels, pairs) -> FinPoset:
     witnesses.
     """
     labels = tuple(labels)
-    seen = set()
-    for l in labels:
-        if l in seen:
-            raise DuplicateLabel(l)
-        seen.add(l)
-    bits.check_carrier(len(labels))
-    index = {l: i for i, l in enumerate(labels)}
+    index = label_index(labels)
     n = len(labels)
     up = [1 << i for i in range(n)]
     for a, b in pairs:

@@ -32,11 +32,10 @@ continuity scan is also `subspace`'s relative-topology check.
 closure laws, builds the space from the minimal neighbourhoods, and
 compares the enumerated opens with the family.  Saturation is still the
 intersection of all open supersets, taken on the open slices in O(n)
-int operations.  Compactness is certified for every saturated set by the
-minimal-neighbourhood cover, and on spaces with at most 12 opens also by
-a check of every open subfamily: each subfamily is one bit of truth
-tables over the opens (`bits.subset_columns`), so one pass of table
-operations per candidate covers all of them.
+int operations.  Every subset of a finite space is compact, so Q(X), the
+compact saturated sets, is the nonempty opens; `compact_saturated_sets`
+certifies the listing it reads them from: each must be an up-set of the
+preorder, and every minimal neighbourhood must be listed.
 """
 
 from __future__ import annotations
@@ -49,14 +48,14 @@ from . import bits
 from .errors import (
     BudgetExceeded,
     CheckFailed,
-    DuplicateLabel,
     FamilyNotIrreducible,
+    InputError,
     MissingEmptyOrFull,
     NotClosedUnderIntersection,
     NotClosedUnderUnion,
     UnknownLabel,
 )
-from .posets import check_preorder
+from .posets import check_preorder, label_index
 
 
 MAX_UP_SETS = 1 << 16
@@ -274,6 +273,7 @@ def _closure_witness(labels, masks: tuple[int, ...]) -> None:
 def make_space(labels, opens) -> FinSpace:
     """Validate an open family given from outside (label lists or masks).
 
+    A mask outside the carrier raises `InputError` before any scan.
     After the empty/full check, each point's minimal neighbourhood is the
     intersection of the members holding it.  A family is a topology
     exactly when joining any member with any minimal neighbourhood stays
@@ -286,16 +286,14 @@ def make_space(labels, opens) -> FinSpace:
     enumerated opens must equal the family.
     """
     labels = tuple(labels)
-    seen = set()
-    for l in labels:
-        if l in seen:
-            raise DuplicateLabel(l)
-        seen.add(l)
-    bits.check_carrier(len(labels))
-    index = {l: i for i, l in enumerate(labels)}
+    index = label_index(labels)
+    n = len(labels)
+    full = (1 << n) - 1
     masks = []
     for u in opens:
         if isinstance(u, int):
+            if u not in range(full + 1):
+                raise InputError(f"open mask {u} lies outside the {n}-point carrier")
             masks.append(u)
         else:
             m = 0
@@ -306,14 +304,13 @@ def make_space(labels, opens) -> FinSpace:
             masks.append(m)
     canon_masks = bits.canon(masks)
     fam = frozenset(canon_masks)
-    full = (1 << len(labels)) - 1
     if 0 not in fam:
         raise MissingEmptyOrFull("empty")
     if full not in fam:
         raise MissingEmptyOrFull("full")
-    nbhd = [full] * len(labels)
+    nbhd = [full] * n
     for u in canon_masks:
-        for x in bits.indices_of(u & full):
+        for x in bits.indices_of(u):
             nbhd[x] &= u
     if any(u | v not in fam for v in nbhd for u in canon_masks):
         _closure_witness(labels, canon_masks)
@@ -526,93 +523,30 @@ def irreducible_closed_sets(space: FinSpace) -> tuple[int, ...]:
     return result
 
 
-def _neighbourhood_cover(space: FinSpace, mask: int) -> bool:
-    """Compactness route for every size: the minimal neighbourhoods of the
-    points of `mask` are open and cover it, and every open cover refines
-    this finite one (an open holding x holds its minimal neighbourhood)."""
-    cover = [space.spec_up[x] for x in bits.indices_of(mask)]
-    union = 0
-    for u in cover:
-        union |= u
-    return bits.is_subset(mask, union) and all(u in space.open_set for u in cover)
-
-
-def _greedy_choices(opens: tuple[int, ...], mask: int):
-    """The greedy subcover of `mask` from every subfamily of `opens` at
-    once, as truth tables over the subfamilies (bit F for the subfamily
-    whose index mask is F): `(chosen, taken)`, where `chosen[j]` holds
-    the subfamilies whose greedy chooses opens[j] and `taken[p]` those
-    whose chosen opens hold the point p of `mask`.
-
-    The greedy runs in index order and chooses a member of the subfamily
-    when it holds a point of `mask` that no chosen open holds yet.
-    """
-    cols = bits.subset_columns(len(opens))
-    taken = dict.fromkeys(bits.indices_of(mask), 0)
-    chosen = []
-    for j, u in enumerate(opens):
-        points = bits.indices_of(u & mask)
-        untaken = 0
-        for p in points:
-            untaken |= ~taken[p]
-        pick = cols[j] & untaken
-        for p in points:
-            taken[p] |= pick
-        chosen.append(pick)
-    return tuple(chosen), taken
-
-
-def _subfamily_scan_failures(space: FinSpace, candidates) -> int:
-    """Bit i set when some open subfamily covers candidates[i] but its
-    greedy subcover misses one of its points (used on spaces with at
-    most 12 opens).
-
-    Every subfamily of the opens is one bit of 2^k-bit truth tables
-    (`bits.subset_columns`, k the number of opens).  The subfamilies
-    covering a point p are those meeting the opens that hold p (the bits
-    of `open_slices[p]`); a candidate's covering subfamilies are the AND
-    of these over its points, and those whose greedy subcover
-    (`_greedy_choices`) misses it the OR over its points of the
-    subfamilies that leave the point untaken.
-    """
-    k = len(space.opens)
-    covers = [bits.meets_table(s, k) for s in space.open_slices]
-    failing = 0
-    for i, c in enumerate(candidates):
-        _, taken = _greedy_choices(space.opens, c)
-        covered = (1 << (1 << k)) - 1
-        missed = 0
-        for p, held in taken.items():
-            covered &= covers[p]
-            missed |= ~held
-        if covered & missed:
-            failing |= 1 << i
-    return failing
-
-
 @preorder_memo
 def compact_saturated_sets(space: FinSpace) -> tuple[int, ...]:
     """All nonempty compact saturated subsets (the empty set is excluded).
 
-    The saturated sets are the up-sets of the specialization preorder,
-    i.e. the opens; each nonempty one is checked definitionally as an
-    intersection of opens (`FinSpace.saturation`, on the open slices).
-    Compactness runs through the minimal-neighbourhood cover for every
-    candidate and, on spaces with at most 12 opens, through
-    `_subfamily_scan_failures`, which checks every open subfamily against
-    every candidate, once per space, on 2^k-bit truth tables (k the
-    number of opens).  The first failing candidate in up-set order is
-    raised.
+    In a finite space every subset is compact, and the saturation of a
+    set is its up-set in the specialization preorder, which is open; so
+    Q(X) is the nonempty opens.  Two checks certify the listing they are
+    read from: each candidate must equal its up-closure under `spec_up`,
+    and each point's minimal neighbourhood `spec_up[x]` must be listed
+    (every open cover of a saturated set then refines the cover by the
+    minimal neighbourhoods of its points).  The first candidate that is
+    not an up-set, in up-set order, is raised, else the first unlisted
+    neighbourhood.
     """
     candidates = [s for s in space.opens if s]
-    scan_failures = (
-        _subfamily_scan_failures(space, candidates) if len(space.opens) <= 12 else 0
-    )
-    for i, s in enumerate(candidates):
-        if space.saturation(s) != s:
+    for s in candidates:
+        up = 0
+        for x in bits.indices_of(s):
+            up |= space.spec_up[x]
+        if up != s:
             raise CheckFailed("up-set is not an intersection of opens", s)
-        if not _neighbourhood_cover(space, s) or scan_failures >> i & 1:
-            raise CheckFailed("finite subset failed the compactness check", s)
+    for u in space.spec_up:
+        if u not in space.open_set:
+            raise CheckFailed("minimal neighbourhood is not among the opens", u)
     return bits.canon(candidates)
 
 

@@ -143,12 +143,14 @@ def xizhao_model(base: FinPoset) -> XiZhaoPoset:
     """Build the pair model of a bounded-complete algebraic poset.
 
     Pair labels are "x@e", so a base label containing "@" is refused.
-    Asserted structure: the maximal pairs are exactly (e, e); the slice
-    interiors partition the non-maximal part; and, on models of up to 10
-    pairs, every directed subset meets the maximal pairs or lies inside
-    one slice with directed base coordinates (`_dichotomy_scan`, which
-    covers all 2^n subsets as bits of truth tables).  Beyond 10 pairs
-    the dichotomy is not scanned; only the first two are asserted.
+    Asserted structure: the maximal elements of the model are exactly
+    the pairs (e, e); and, on models of up to 10 pairs, every directed
+    subset meets the maximal pairs or lies inside one slice with directed
+    base coordinates (`_dichotomy_scan`, which covers all 2^n subsets as
+    bits of truth tables).  Beyond 10 pairs the dichotomy is not scanned;
+    only the maximal pairs are asserted.  The slices partition the pairs
+    by construction (`slice_masks` groups them by e), so that is not
+    asserted.
     """
     for label in base.labels:
         if "@" in label:
@@ -177,19 +179,8 @@ def xizhao_model(base: FinPoset) -> XiZhaoPoset:
                 m |= 1 << j
         up.append(m)
     model = XiZhaoPoset(base, FinPoset(labels, tuple(up)), pairs)
-    expected_max = bits.mask_of(
-        model.pairs.index((e, e)) for e in max_base
-    )
-    if maximal_elements(model.poset) != expected_max or expected_max != model.max_mask:
+    if maximal_elements(model.poset) != model.max_mask:
         raise CheckFailed("maximal pairs are not exactly the (e, e) diagonal")
-    covered = 0
-    for _, smask in model.slice_masks:
-        interior = smask & model.nonmax_mask
-        if covered & interior:
-            raise CheckFailed("slice interiors overlap")
-        covered |= interior
-    if covered != model.nonmax_mask:
-        raise CheckFailed("slice interiors do not cover the non-maximal part")
     if n <= 10:
         _dichotomy_scan(model)
     return model
@@ -214,8 +205,6 @@ def e_set(model: XiZhaoPoset, a_mask: int) -> int:
         scan |= 1 << model.top_index(model.pairs[i][1])
     if display != scan:
         raise CheckFailed("E-set display and scan disagree", a_mask)
-    if display & ~model.max_mask:
-        raise CheckFailed("E-set escaped the maximal part")
     return display
 
 

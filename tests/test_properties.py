@@ -45,9 +45,7 @@ from orderlab.report import analyze_poset, canonical_json
 from orderlab.scott import scott_space
 from orderlab.spaces import (
     FinSpace,
-    _greedy_choices,
     _preorder_up_sets,
-    _subfamily_scan_failures,
     compact_saturated_sets,
     irreducible_closed_sets,
     make_space,
@@ -450,76 +448,6 @@ def test_algebraicity_tables_are_the_loop_on_every_order_on_four_points():
 @SMALL
 def test_algebraicity_tables_are_the_loop(poset):
     _algebraicity_kernel_matches(poset)
-
-
-def _subfamily_depth_first(space, candidates):
-    """The reference for `_subfamily_scan_failures`: every open subfamily
-    visited depth first, with the greedy bit-sliced over the candidates."""
-    n = space.n
-    points = [bits.indices_of(u) for u in space.opens]
-    holds = bits.bit_slices(candidates, n)
-    every = (1 << len(candidates)) - 1
-    failing = 0
-    stack = [(0, 0, holds, (0,) * n)]
-    while stack:
-        start, union, remaining, taken = stack.pop()
-        for j in range(start, len(points)):
-            hit = 0
-            for p in points[j]:
-                hit |= remaining[p]
-            rem = list(remaining)
-            tak = list(taken)
-            for p in points[j]:
-                rem[p] &= ~hit
-                tak[p] |= hit
-            grown = union | space.opens[j]
-            outside = bad = 0
-            for p in range(n):
-                if not grown >> p & 1:
-                    outside |= holds[p]
-                bad |= rem[p] | holds[p] & ~tak[p]
-            failing |= every & ~outside & bad
-            stack.append((j + 1, grown, rem, tak))
-    return failing
-
-
-def _greedy_subcover(opens, mask, subfamily):
-    """Index mask of the opens the greedy chooses from one subfamily."""
-    chosen = taken = 0
-    for j, u in enumerate(opens):
-        if subfamily >> j & 1 and u & mask & ~taken:
-            chosen |= 1 << j
-            taken |= u
-    return chosen
-
-
-def small_alexandrov_spaces():
-    return alexandrov_spaces().filter(lambda space: len(space.opens) <= 12)
-
-
-@given(small_alexandrov_spaces(), st.data())
-@SMALL
-def test_subfamily_tables_are_the_depth_first_scan(space, data):
-    candidates = data.draw(st.lists(st.integers(0, space.full_mask), max_size=6))
-    assert (_subfamily_scan_failures(space, candidates)
-            == _subfamily_depth_first(space, candidates))
-
-
-@given(small_alexandrov_spaces(), st.data())
-@SMALL
-def test_greedy_tables_are_the_greedy_on_each_subfamily(space, data):
-    mask = data.draw(st.integers(0, space.full_mask))
-    k = len(space.opens)
-    chosen, taken = _greedy_choices(space.opens, mask)
-    assert len(chosen) == k
-    assert set(taken) == set(bits.indices_of(mask))
-    for subfamily in range(1 << k):
-        expected = _greedy_subcover(space.opens, mask, subfamily)
-        assert bits.mask_of(j for j in range(k) if chosen[j] >> subfamily & 1) == expected
-        union = 0
-        for j in bits.indices_of(expected):
-            union |= space.opens[j]
-        assert bits.mask_of(p for p in taken if taken[p] >> subfamily & 1) == union & mask
 
 
 @given(posets(max_n=4))

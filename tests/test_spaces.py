@@ -6,6 +6,7 @@ from orderlab import bits, spaces
 from orderlab.errors import (
     CheckFailed,
     FamilyNotIrreducible,
+    InputError,
     MissingEmptyOrFull,
     NotClosedUnderIntersection,
     NotClosedUnderUnion,
@@ -28,7 +29,7 @@ from orderlab.spaces import (
     subspace,
 )
 from orderlab.fixtures import DIAMOND, VEE
-from orderlab.posets import FinPoset, up_sets, validate_poset
+from orderlab.posets import FinPoset, validate_poset
 from orderlab.reflections import all_posets
 from orderlab.scott import scott_space
 
@@ -44,6 +45,12 @@ def test_make_space_rejections():
     with pytest.raises(NotClosedUnderUnion) as info:
         make_space(tuple("abcdefghi"), [m for m in range(1 << 9) if m != 0b11])
     assert info.value.pair == (("a",), ("b",))
+
+
+def test_make_space_refuses_masks_outside_the_carrier():
+    for mask in (0b10, 0b11, -1):
+        with pytest.raises(InputError, match="outside the 1-point carrier"):
+            make_space(("a",), (0, 1, mask))
 
 
 def test_make_space_names_a_witness_without_enumerating_up_sets(monkeypatch):
@@ -268,47 +275,49 @@ def test_ph_space_rejects_non_irreducible_members():
         ph_space(d, (3,))
 
 
+def _sierpinski_listing(opens):
+    """A fresh Sierpinski space whose views list `opens`: the listing is
+    put into fresh views before any view is derived, so the open slices
+    and the open set are made from it too."""
+    views = spaces.PreorderViews(SIERPINSKI.spec_up)
+    views.opens = bits.canon(opens)
+    space = spaces.FinSpace(SIERPINSKI.labels, SIERPINSKI.spec_up)
+    vars(space)["views"] = views
+    return space
+
+
+def _compact_saturated_failure(space):
+    compact_saturated_sets.cache_clear()
+    try:
+        with pytest.raises(CheckFailed) as info:
+            compact_saturated_sets(space)
+    finally:
+        compact_saturated_sets.cache_clear()
+    return info.value
+
+
 def test_compact_saturated_sets_rejects_a_non_saturated_candidate(monkeypatch):
     # {0} is closed in the Sierpinski space: its saturation is the whole
-    # space.  A fresh copy keeps its true open slices, which the saturation
-    # reads, but lists {0} among its opens, which are the candidates.
+    # space.  The first copy lists {0} among its opens, the candidates,
+    # but keeps its true open slices; the second lists {0} consistently,
+    # in every view.
     space = spaces.FinSpace(SIERPINSKI.labels, SIERPINSKI.spec_up)
     assert space.open_slices == SIERPINSKI.open_slices
     monkeypatch.setitem(vars(space), "opens", bits.canon(space.opens + (0b01,)))
-    compact_saturated_sets.cache_clear()
-    try:
-        with pytest.raises(CheckFailed, match="not an intersection of opens") as info:
-            compact_saturated_sets(space)
-    finally:
-        compact_saturated_sets.cache_clear()
-    assert info.value.witness == 0b01
+    consistent = _sierpinski_listing(SIERPINSKI.opens + (0b01,))
+    assert 0b01 in consistent.open_set
+    for listed in (space, consistent):
+        failure = _compact_saturated_failure(listed)
+        assert "not an intersection of opens" in str(failure)
+        assert failure.witness == 0b01
 
 
-def test_subfamily_scan_runs_once_per_small_space_and_its_failures_are_raised(monkeypatch):
-    space = scott_space(DIAMOND)
-    assert len(space.opens) <= 12
-    real = spaces._subfamily_scan_failures
-    calls = []
-
-    def failing_subcover(space, candidates):
-        calls.append(real(space, candidates))
-        return calls[-1] | 0b10  # the second candidate's subcover fails
-
-    monkeypatch.setattr(spaces, "_subfamily_scan_failures", failing_subcover)
-    compact_saturated_sets.cache_clear()
-    try:
-        with pytest.raises(CheckFailed, match="compactness check") as info:
-            compact_saturated_sets(space)
-        assert calls == [0]
-        candidates = [s for s in up_sets(DIAMOND) if s]
-        assert info.value.witness == candidates[1]
-        calls.clear()
-        labels = tuple(f"c{i}" for i in range(12))
-        chain = validate_poset(labels, tuple(zip(labels, labels[1:])))
-        compact_saturated_sets(scott_space(chain))  # 13 opens: no scan
-        assert calls == []
-    finally:
-        compact_saturated_sets.cache_clear()
+def test_compact_saturated_sets_rejects_a_listing_without_a_minimal_neighbourhood():
+    # {1} is the minimal neighbourhood of the open point 1
+    assert SIERPINSKI.spec_up[1] == 0b10
+    failure = _compact_saturated_failure(_sierpinski_listing((0, 0b11)))
+    assert "minimal neighbourhood is not among the opens" in str(failure)
+    assert failure.witness == 0b10
 
 
 PREORDER_MEMOS = (
