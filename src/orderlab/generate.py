@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 
+from . import bits
 from .errors import GenerationBudgetExceeded, PreconditionViolated
 from .posets import FinPoset, is_bounded_complete, validate_poset
 
@@ -34,6 +35,9 @@ def generate_poset(seed: int, max_size: int, budget: int = 500) -> FinPoset:
         return validate_poset(("bot",), ())
     for _ in range(budget):
         n = rng.randint(1, max_size - 1)
+        # refuse an oversized draw before its n^2/2 pair draws; the
+        # carrier check of `validate_poset` raises the same error after them
+        bits.check_carrier(n + 1)
         labels = tuple(f"x{i}" for i in range(n))
         density = rng.uniform(0.15, 0.6)
         pairs = [

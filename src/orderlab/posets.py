@@ -203,24 +203,56 @@ def is_bounded_complete(poset: FinPoset):
     return True, None
 
 
-def bounded_complete_oracle(poset: FinPoset):
-    """Independent brute-force path for `is_bounded_complete`.
+# element budget of the truth-table scans: each table is 2^n bits wide
+MAX_TABLE_ELEMENTS = 16
 
-    Scans all subsets, collecting upper bounds by per-element comparison
-    loops and testing least-ness pairwise rather than via mask inclusion.
+
+def _check_table_budget(poset: FinPoset, scan: str) -> None:
+    if poset.n > MAX_TABLE_ELEMENTS:
+        raise BudgetExceeded(f"{scan} limited to {MAX_TABLE_ELEMENTS} elements")
+
+
+def _bound_tables(poset: FinPoset):
+    """Truth tables over every subset (`bits.subset_columns`), one per
+    element u: `(bounded_by, lub)`.
+
+    `bounded_by[u]` holds the subsets u bounds, those meeting nothing
+    outside down[u]; `lub[u]` those whose least upper bound is u, the
+    subsets u bounds that no element outside up[u] bounds.
     """
-    elements = list(range(poset.n))
-    failures = []
-    for s in range(1 << poset.n):
-        members = [i for i in elements if s >> i & 1]
-        ubs = [u for u in elements if all(poset.leq(i, u) for i in members)]
-        if not ubs:
-            continue
-        least = [u for u in ubs if all(poset.leq(u, v) for v in ubs)]
-        if not least:
-            failures.append(s)
+    n = poset.n
+    every = (1 << (1 << n)) - 1
+    bounded_by = tuple(every & ~bits.meets_table(poset.full_mask & ~poset.down[u], n)
+                       for u in range(n))
+    lub = []
+    for u in range(n):
+        least = bounded_by[u]
+        for v in bits.indices_of(poset.full_mask & ~poset.up[u]):
+            least &= ~bounded_by[v]
+        lub.append(least)
+    return bounded_by, tuple(lub)
+
+
+def bounded_complete_oracle(poset: FinPoset):
+    """Independent exhaustive path for `is_bounded_complete`.
+
+    Every one of the 2^n subsets is covered, as one bit of the truth
+    tables of `_bound_tables`: a subset fails when some element bounds
+    it and none is its least upper bound.  Bounds are read from the
+    down-sets and least-ness from the elements outside each up-set, all
+    subsets at once, rather than by `upper_bounds`, `supremum` or the
+    pairwise reduction of `is_bounded_complete`.  The witness is the
+    canonically first failing subset.  A poset past `MAX_TABLE_ELEMENTS`
+    raises `BudgetExceeded` before any table is built.
+    """
+    _check_table_budget(poset, "bounded-completeness oracle")
+    bounded = has_lub = 0
+    for bound, least in zip(*_bound_tables(poset)):
+        bounded |= bound
+        has_lub |= least
+    failures = bounded & ~has_lub
     if failures:
-        return False, min(failures, key=bits.subset_key)
+        return False, min(bits.indices_of(failures), key=bits.subset_key)
     return True, None
 
 
@@ -272,28 +304,19 @@ def _algebraicity_tables(poset: FinPoset):
     algebraicity check: `(directed, lub, compact)`.
 
     `directed` holds the directed subsets and `lub[u]` those whose least
-    upper bound is u: u bounds s when s meets nothing outside down[u],
-    and it is least when no bound of s lies outside up[u].  `compact` is
-    the mask of the compact elements: k is compact when every directed
-    set with a supremum at or above k meets up[k].  It is None when some
-    directed subset has no supremum.
+    upper bound is u (`_bound_tables`).  `compact` is the mask of the
+    compact elements: k is compact when every directed set with a
+    supremum at or above k meets up[k].  It is None when some directed
+    subset has no supremum.
     """
     n = poset.n
-    every = (1 << (1 << n)) - 1
     directed = bits.directed_table(poset.up, n)
-    bounded_by = [every & ~bits.meets_table(poset.full_mask & ~poset.down[u], n)
-                  for u in range(n)]
-    lub = []
-    for u in range(n):
-        least = bounded_by[u]
-        for v in bits.indices_of(poset.full_mask & ~poset.up[u]):
-            least &= ~bounded_by[v]
-        lub.append(least)
+    _bounded_by, lub = _bound_tables(poset)
     has_sup = 0
     for table in lub:
         has_sup |= table
     if directed & ~has_sup:
-        return directed, tuple(lub), None
+        return directed, lub, None
     compact = 0
     for k in range(n):
         sup_above = 0
@@ -301,7 +324,7 @@ def _algebraicity_tables(poset: FinPoset):
             sup_above |= lub[u]
         if not directed & sup_above & ~bits.meets_table(poset.up[k], n):
             compact |= 1 << k
-    return directed, tuple(lub), compact
+    return directed, lub, compact
 
 
 def is_algebraic_and_dcpo(poset: FinPoset) -> bool:
@@ -313,10 +336,9 @@ def is_algebraic_and_dcpo(poset: FinPoset) -> bool:
     Every one of the 2^n subsets is covered, as one bit of the truth
     tables of `_algebraicity_tables`; the last check reads, for each
     element x, the bit of its compact down-set in `directed` and in
-    `lub[x]`.  The tables are 2^n bits wide, hence the 16-element cap.
+    `lub[x]`.  The tables are 2^n bits wide, hence `MAX_TABLE_ELEMENTS`.
     """
-    if poset.n > 16:
-        raise BudgetExceeded("algebraicity scan limited to 16 elements")
+    _check_table_budget(poset, "algebraicity scan")
     directed, lub, compact = _algebraicity_tables(poset)
     if compact is None:
         return False

@@ -454,6 +454,25 @@ def _faulted(name: str) -> bool:
     return name in _ACTIVE_FAULTS
 
 
+def _meeting_minima(closed, k: int) -> tuple[int, ...]:
+    """The oracle's scan route for the minimal closed sets meeting k: one
+    pass over the closed family `closed`, in canonical order, keeping a
+    set that meets k and contains no set already kept.
+
+    Canonical order sorts by cardinality first, so it lists a strict
+    subset before its superset.  A minimal meeting set contains no other
+    meeting set, so it is kept.  A non-minimal one contains a minimal
+    one, listed and kept before it, so it is dropped.  The scan compares
+    masks in a list and shares no code with the bit slices of
+    `families._minimal_meeting`, the route it is compared with.
+    """
+    kept = []
+    for c in closed:
+        if c & k and not any(bits.is_subset(d, c) for d in kept):
+            kept.append(c)
+    return tuple(kept)
+
+
 def _oracle_poset(label: str, poset: FinPoset) -> list[dict]:
     """All redundant-path comparisons for one poset instance."""
     found = []
@@ -494,11 +513,7 @@ def _oracle_poset(label: str, poset: FinPoset) -> list[dict]:
         report("irr-generic", {"member": list(sigma.labels_of_mask(diff))})
 
     for k in compact_saturated_sets(sigma)[:24]:
-        meeting = [c for c in sigma.closed if c and c & k]
-        route_a2 = bits.canon(
-            c for c in meeting
-            if not any(d != c and bits.is_subset(d, c) for d in meeting)
-        )
+        route_a2 = _meeting_minima(sigma.closed, k)
         if _faulted("m-routes"):
             route_a2 = route_a2[1:]
         route_b2 = minimal_closed_meeting(sigma, FilteredFamily(sigma, (k,)))

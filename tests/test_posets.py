@@ -11,6 +11,7 @@ from orderlab.errors import (
 )
 from orderlab.fixtures import CHAIN2, DIAMOND, VEE
 from orderlab.posets import (
+    MAX_TABLE_ELEMENTS,
     bounded_complete_oracle,
     directed_subsets,
     down_sets,
@@ -83,12 +84,49 @@ def test_bounded_complete_verdicts():
     assert not verdict and witness == 0b00110
 
 
+def bounded_complete_by_loops(poset):
+    """Reference for `bounded_complete_oracle`: every subset, its upper
+    bounds by per-element comparison loops, least-ness tested pairwise."""
+    elements = list(range(poset.n))
+    failures = []
+    for s in range(1 << poset.n):
+        members = [i for i in elements if s >> i & 1]
+        ubs = [u for u in elements if all(poset.leq(i, u) for i in members)]
+        if not ubs:
+            continue
+        least = [u for u in ubs if all(poset.leq(u, v) for v in ubs)]
+        if not least:
+            failures.append(s)
+    if failures:
+        return False, min(failures, key=bits.subset_key)
+    return True, None
+
+
 def test_bounded_complete_routes_agree_exhaustively():
-    # every poset on 4 labeled elements, both computation paths
+    # every poset on 4 labeled elements (bounded complete or not), both
+    # computation paths and the per-element reference, verdict and witness
     from orderlab.reflections import all_posets
 
+    verdicts = set()
     for p in all_posets(4):
-        assert is_bounded_complete(p) == bounded_complete_oracle(p)
+        expected = bounded_complete_by_loops(p)
+        assert is_bounded_complete(p) == bounded_complete_oracle(p) == expected
+        verdicts.add(expected[0])
+    assert verdicts == {True, False}
+
+
+def test_bounded_complete_oracle_checks_its_budget_before_any_table(monkeypatch):
+    def no_tables(n):
+        raise AssertionError("truth table built past the budget")
+
+    monkeypatch.setattr(bits, "subset_columns", no_tables)
+    n = MAX_TABLE_ELEMENTS + 1
+    labels = tuple(f"c{i}" for i in range(n))
+    chain = validate_poset(labels, tuple(zip(labels, labels[1:])))
+    with pytest.raises(BudgetExceeded, match=f"limited to {MAX_TABLE_ELEMENTS} elements"):
+        bounded_complete_oracle(chain)
+    with pytest.raises(BudgetExceeded, match=f"limited to {MAX_TABLE_ELEMENTS} elements"):
+        is_algebraic_and_dcpo(chain)
 
 
 def test_directedness_requires_nonempty():

@@ -54,6 +54,7 @@ from orderlab.spaces import (
     preorder_views,
 )
 
+from test_posets import bounded_complete_by_loops
 from test_spaces import PREORDER_MEMOS, _clear_preorder_memos
 
 SMALL = settings(max_examples=50, deadline=None)
@@ -137,7 +138,9 @@ def test_closure_operators(poset):
 @given(posets())
 @SMALL
 def test_bounded_complete_routes_agree(poset):
-    assert is_bounded_complete(poset)[0] == bounded_complete_oracle(poset)[0]
+    oracle = bounded_complete_oracle(poset)
+    assert is_bounded_complete(poset)[0] == oracle[0]
+    assert oracle == bounded_complete_by_loops(poset)
 
 
 @given(posets())

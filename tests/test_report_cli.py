@@ -13,6 +13,7 @@ import pytest
 from orderlab.cofinite import COFNAT
 from orderlab import cli
 from orderlab.cli import main
+from orderlab import bits
 from orderlab.errors import (
     BudgetExceeded,
     CheckFailed,
@@ -33,6 +34,7 @@ from orderlab.io import (
 from orderlab.posets import is_bounded_complete
 from orderlab.reflections import (
     EQUATION_NAMES,
+    all_posets,
     decomposition_check,
     pair_conditions_check,
 )
@@ -43,6 +45,7 @@ from orderlab.report import (
     ORACLE_PATHS,
     REPORT_CHECKS,
     RunConfig,
+    _meeting_minima,
     analyze_poset,
     analyze_space,
     canonical_json,
@@ -413,6 +416,22 @@ def test_oracle_search_catches_injected_faults():
             pass
 
 
+def test_the_oracle_scan_route_is_the_pairwise_definition():
+    # every compact set of the Scott space of every order on 4 points
+    compared = 0
+    for p in all_posets(4):
+        sigma = scott_space(p)
+        for k in sigma.opens[1:]:
+            meeting = [c for c in sigma.closed if c and c & k]
+            pairwise = bits.canon(
+                c for c in meeting
+                if not any(d != c and bits.is_subset(d, c) for d in meeting)
+            )
+            assert _meeting_minima(sigma.closed, k) == pairwise
+            compared += 1
+    assert compared > 1000
+
+
 # ---------------------------------------------------------------------------
 # the command line
 
@@ -509,25 +528,49 @@ def test_cli_exit_codes_one_and_three(instances, capsys):
     capsys.readouterr()
 
 
-def test_cli_refuses_a_space_past_the_open_set_budget(instances):
-    # the tree passes the carrier and algebraicity budgets; its Scott
-    # space is refused on the first up-set past MAX_UP_SETS, before any
-    # check runs, so the refusal is exit 3 and not a FAIL witness
+def _cli_subprocess(*argv):
+    """Run the command line in a fresh interpreter: (result, seconds)."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     started = time.monotonic()
     result = subprocess.run(
-        [sys.executable, "-m", "orderlab.cli", "analyze", "--poset", instances["tree16"]],
+        [sys.executable, "-m", "orderlab.cli", *argv],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         timeout=120,
     )
-    assert time.monotonic() - started < 10
+    return result, time.monotonic() - started
+
+
+def test_cli_refuses_a_space_past_the_open_set_budget(instances):
+    # the tree passes the carrier and algebraicity budgets; its Scott
+    # space is refused on the first up-set past MAX_UP_SETS, before any
+    # check runs, so the refusal is exit 3 and not a FAIL witness
+    result, seconds = _cli_subprocess("analyze", "--poset", instances["tree16"])
+    assert seconds < 10
     assert result.returncode == 3, result.stderr
     assert "Traceback" not in result.stderr
     assert f"more than {MAX_UP_SETS} open sets" in result.stderr
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    # draws a 19-element poset: the oracle's scan budget refuses it
+    (("oracle", "--seed", "38", "--max-size", "24", "--trials", "1"),
+     "bounded-completeness oracle limited to 16 elements"),
+    # draw n = 885 441: refused before its pair draws
+    (("oracle", "--seed", "0", "--max-size", "1000000", "--trials", "1"),
+     "carrier of size 885442 exceeds the 60-point budget"),
+    (("search", "--seed", "0", "--max-size", "1000000", "--trials", "1"),
+     "carrier of size 885442 exceeds the 60-point budget"),
+], ids=["oracle-19-elements", "oracle-huge-draw", "search-huge-draw"])
+def test_cli_refuses_an_oversized_draw_at_once(argv, message):
+    result, seconds = _cli_subprocess(*argv)
+    assert result.returncode == 3, result.stderr
+    assert seconds < 2
+    assert "Traceback" not in result.stderr
+    assert message in result.stderr
 
 
 def test_cli_xizhao(instances, capsys):
